@@ -35,9 +35,9 @@ namespace hublab {
 namespace {
 
 /// Pairs per workload; pair streams come from the same WorkloadGenerator
-/// serve-sim serves (oracle/workload.hpp), generated once per family and
-/// shared by every phase.  Power of two so the google-benchmark loops can
-/// mask instead of dividing.
+/// the query server serves (oracle/workload.hpp), generated once per
+/// family and shared by every phase.  Power of two so the google-benchmark
+/// loops can mask instead of dividing.
 constexpr std::size_t kQueryPairs = 1024;
 static_assert((kQueryPairs & (kQueryPairs - 1)) == 0);
 

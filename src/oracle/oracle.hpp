@@ -31,10 +31,10 @@ class DistanceOracle {
   /// itself is not counted; all oracles share it).
   [[nodiscard]] virtual std::size_t space_bytes() const = 0;
 
-  /// Attribution variant of distance() (`hublab explain`, serve-sim's
-  /// slow-query capture): same answer, plus the probe records whatever the
-  /// oracle's kernel can attribute — label sizes, entries scanned, common
-  /// hubs compared, meeting hub (util/querystats.hpp).  Oracles without an
+  /// Attribution variant of distance() (`hublab explain`, the per-query
+  /// `hublab serve --batch 1` loop): same answer, plus the probe records
+  /// whatever the oracle's kernel can attribute — label sizes, entries
+  /// scanned, common hubs compared, meeting hub (util/querystats.hpp).  Oracles without an
   /// instrumented kernel answer through plain distance() and leave the
   /// probe untouched.
   [[nodiscard]] virtual Dist distance_with_stats(Vertex u, Vertex v,

@@ -10,6 +10,8 @@
 #include <span>
 #include <utility>
 
+#include "hub/order.hpp"
+#include "oracle/contraction_hierarchy.hpp"
 #include "oracle/oracle.hpp"
 #include "oracle/workload.hpp"
 #include "util/error.hpp"
@@ -199,6 +201,39 @@ void emit_registry_metrics(const ServerResult& result, const ServerConfig& confi
 
 }  // namespace
 
+std::string_view oracle_kind_name(OracleKind kind) noexcept {
+  switch (kind) {
+    case OracleKind::kPllFlat: return "pll-flat";
+    case OracleKind::kCh: return "ch";
+    case OracleKind::kBidij: return "bidij";
+  }
+  return "pll-flat";
+}
+
+std::optional<OracleKind> parse_oracle_kind(std::string_view name) noexcept {
+  if (name == "pll-flat") return OracleKind::kPllFlat;
+  if (name == "ch") return OracleKind::kCh;
+  if (name == "bidij") return OracleKind::kBidij;
+  return std::nullopt;
+}
+
+std::unique_ptr<DistanceOracle> make_oracle(const Graph& g, OracleKind kind,
+                                            const PllConfig& pll) {
+  if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
+  switch (kind) {
+    case OracleKind::kPllFlat: {
+      const auto order = make_vertex_order(g, VertexOrder::kDegreeDescending);
+      // Single-pass finalize straight into the flat layout.
+      return std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling_flat(g, order, pll));
+    }
+    case OracleKind::kCh:
+      return std::make_unique<ContractionHierarchy>(g);
+    case OracleKind::kBidij:
+      return std::make_unique<BidirectionalOracle>(g);
+  }
+  HUBLAB_UNREACHABLE();
+}
+
 std::string_view arrival_kind_name(ArrivalKind kind) noexcept {
   switch (kind) {
     case ArrivalKind::kPoisson: return "poisson";
@@ -241,27 +276,6 @@ std::optional<TimingMode> parse_timing_mode(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-ServerResult run_server(const Graph& g, const ServerConfig& config, Tracer* tracer) {
-  if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
-  Tracer local_tracer;
-  Tracer& t = tracer != nullptr ? *tracer : local_tracer;
-  std::unique_ptr<DistanceOracle> oracle;
-  double build_s = 0.0;
-  {
-    auto span = t.span("build-oracle");
-    Timer build_timer;
-    SimConfig build_config;
-    build_config.oracle = config.oracle;
-    build_config.bp_roots = config.bp_roots;
-    build_config.threads = config.workers;
-    oracle = make_oracle(g, build_config);
-    build_s = build_timer.elapsed_s();
-  }
-  ServerResult result = run_server_on(g, *oracle, config, &t);
-  result.build_s = build_s;
-  return result;
-}
-
 ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
                            const ServerConfig& config, Tracer* tracer) {
   if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
@@ -282,13 +296,10 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   result.workers = std::clamp<std::size_t>(config.workers, 1, kMaxServeWorkers);
   result.offered_qps = config.qps;
   result.space_bytes = oracle.space_bytes();
-  if (const auto* hub = dynamic_cast<const HubLabelOracle*>(&oracle)) {
-    result.space_bytes_flat = FlatHubLabeling(hub->labeling()).memory_bytes();
-  } else if (const auto* flat = dynamic_cast<const FlatHubLabelOracle*>(&oracle)) {
+  if (const auto* flat = dynamic_cast<const FlatHubLabelOracle*>(&oracle)) {
     result.space_bytes_flat = flat->labeling().memory_bytes();
   }
   const std::size_t workers = result.workers;
-  const std::size_t batch = config.batch;
 
   // Pairs and arrivals are fully materialized before the loop: generation
   // must never steal cycles from (or synchronize with) the serving path,
@@ -323,6 +334,9 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     rings.push_back(std::make_unique<SpscRing<QueryItem>>(config.ring_capacity));
   }
   const std::size_t ring_capacity = rings.front()->capacity();
+  // pop_bulk never returns more than a ring holds, so larger drain blocks
+  // would only size buffers that are never filled.
+  const std::size_t batch = std::min(config.batch, ring_capacity);
 
   // kVirtual: decide latencies/depths/shedding up front, deterministically,
   // against the same rounded ring bound the real rings enforce.
@@ -336,8 +350,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   std::vector<WorkerStats> stats(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     // Per-worker seeds derive from the run seed and the fixed worker id,
-    // so retained exemplars depend only on (seed, latencies) — the same
-    // discipline as serve-sim's per-chunk reservoirs.
+    // so retained exemplars depend only on (seed, latencies), never on
+    // which thread ran which role.
     stats[w].exemplars = metrics::ExemplarReservoir(
         config.seed ^ (0x9e3779b97f4a7c15ULL * (w + 1)), config.exemplars_per_bucket);
     stats[w].slow = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
@@ -460,7 +474,7 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
           }
         }
         const std::uint64_t block_begin_ns = monotonic_ns();
-        if (batch >= 2) {
+        if (config.batch >= 2) {
           for (std::size_t j = 0; j < got; ++j) {
             block_pairs[j] = {items[j].s, items[j].t};
           }
@@ -513,9 +527,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     result.serve_loop_s = loop_timer.elapsed_s();
   }
 
-  // Merge in fixed worker order (generator first), the same discipline as
-  // serve-sim's chunk-order merge: the merged sketch structure and every
-  // count are independent of runtime interleaving.
+  // Merge in fixed worker order (generator first): the merged sketch
+  // structure and every count are independent of runtime interleaving.
   result.rejected = gen.rejected;
   result.queue_depth = gen.queue_depth;
   result.exemplars = metrics::ExemplarReservoir(config.seed, config.exemplars_per_bucket);
@@ -584,18 +597,19 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
 }
 
 void write_server_report_json(std::ostream& os, const ServerResult& result,
-                              const ServerConfig& config, const std::vector<SweepPoint>& sweep,
+                              const ServerConfig& config, OracleKind oracle,
+                              std::size_t bp_roots, const std::vector<SweepPoint>& sweep,
                               const Graph& g, std::string_view graph_family,
                               std::string_view git_rev, bool smoke, const Tracer& tracer) {
   ReportHeader header;
-  header.name = "serve-open-" + std::string(oracle_kind_name(config.oracle));
+  header.name = "serve-open-" + std::string(oracle_kind_name(oracle));
   header.git_rev = std::string(git_rev);
   header.smoke = smoke;
   header.ok = true;
   header.repetitions = 1;
   header.start_unix_ms = result.start_unix_ms;
   header.threads = result.workers;
-  header.bp_roots = static_cast<std::int64_t>(config.bp_roots);
+  header.bp_roots = static_cast<std::int64_t>(bp_roots);
   header.graphs.push_back({std::string(graph_family), g.num_vertices(), g.num_edges()});
   const auto quantiles = [](JsonWriter& w, const QuantileSketch& sk) {
     w.kv("count", sk.count());
@@ -608,7 +622,7 @@ void write_server_report_json(std::ostream& os, const ServerResult& result,
     w.kv("rank_error", sk.rank_error_bound());
   };
   write_run_report_json(os, header, tracer, metrics::registry(), [&](JsonWriter& w) {
-    w.kv("oracle", oracle_kind_name(config.oracle));
+    w.kv("oracle", oracle_kind_name(oracle));
     w.kv("oracle_impl", result.oracle_name);
     w.kv("workload", result.workload_name);
     w.kv("seed", config.seed);

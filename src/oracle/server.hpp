@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,7 +10,7 @@
 
 #include "graph/graph.hpp"
 #include "hub/pll.hpp"
-#include "oracle/serve.hpp"
+#include "oracle/workload.hpp"
 #include "util/exemplar.hpp"
 #include "util/heavyhitter.hpp"
 #include "util/perfcount.hpp"
@@ -17,15 +18,17 @@
 #include "util/trace.hpp"
 
 /// \file server.hpp
-/// Concurrent open-loop query server: the millions-of-users scenario the
-/// ROADMAP names first.  Where serve-sim (oracle/serve.hpp) is a
-/// *closed-loop* driver — the next query starts when the previous one
-/// finishes, so the measured rate is whatever the oracle sustains and
-/// queueing never appears — this engine is *open-loop*: queries arrive on
-/// their own schedule (`--qps`, Poisson or burst) whether or not the
-/// workers keep up, which is how production traffic behaves and the only
-/// way to observe a throughput-vs-latency curve and an overload cliff
-/// (docs/performance.md, "Open-loop vs closed-loop serving").
+/// Concurrent open-loop query server: the one serving engine behind
+/// `hublab serve`, `bench_serve_scaling` and the perfbench pipeline, and
+/// the observability testbed for the paper's core trade-off (Theorems
+/// 1.4/4.1 trade label size against query time, so tracking it across
+/// revisions needs *latency distributions* per oracle per workload, not
+/// single wall clocks).  Queries arrive on their own schedule (`--qps`,
+/// Poisson or burst) whether or not the workers keep up, which is how
+/// production traffic behaves and the only way to observe a
+/// throughput-vs-latency curve and an overload cliff.  Saturation
+/// throughput is the same engine under `kBlock` admission with `--qps`
+/// above capacity (docs/performance.md, "Measuring saturation").
 ///
 /// Architecture: one load-generator thread stamps each pre-generated
 /// query pair with its scheduled arrival, applies admission control, and
@@ -33,10 +36,12 @@
 /// (util/spsc.hpp).  Each shard worker drains its ring in blocks of up to
 /// `batch` items and answers them through DistanceOracle::distance_batch —
 /// for the flat oracle that is the SIMD batched kernel
-/// (FlatHubLabeling::query_batch), now serving its intended role as the
-/// hot path.  Latency is **arrival-to-completion**: queue wait included,
-/// so overload shows up in the sketch instead of being coordinated away
-/// (the "coordinated omission" failure mode of closed-loop drivers).
+/// (FlatHubLabeling::query_batch).  `batch == 1` answers each item through
+/// `distance_with_stats` instead, which adds per-query scan attribution.
+/// Latency is **arrival-to-completion**: queue wait included, so overload
+/// shows up in the sketch instead of being coordinated away (the
+/// "coordinated omission" failure mode of closed-loop drivers, which wait
+/// for each answer before sending the next query).
 ///
 /// Admission control: when a ring is full, `kShed` drops the query and
 /// counts it in `serve.rejected` (overload degrades into an error rate
@@ -58,17 +63,54 @@
 /// the overload gates in bench_serve_scaling pin down.
 ///
 /// Registry metrics (docs/observability.md "The serve path"):
-/// `serve.offered` / `serve.rejected` / `serve.trimmed_warmup` /
-/// `serve.trimmed_cooldown` counters, the `serve.queue_depth` sketch,
-/// `serve.offered_qps` / `serve.achieved_qps` gauges, and per-window
-/// `serve.window.offered.<i>` / `serve.window.rejected.<i>` gauges on top
-/// of everything the closed-loop simulator already emits.
+/// `serve.queries` / `serve.reachable` / `serve.offered` /
+/// `serve.rejected` / `serve.slow_queries` / `serve.trimmed_warmup` /
+/// `serve.trimmed_cooldown` counters, the `serve.query_ns` and
+/// `serve.queue_depth` sketches, `serve.space_bytes` /
+/// `serve.offered_qps` / `serve.achieved_qps` /
+/// `serve.worker_utilization_pct` gauges, per-worker
+/// `serve.worker_busy_ns.<i>` and per-window `serve.window.*.<i>` gauges,
+/// the `serve.query_exemplars` store and the `hub.scan_cost` heavy
+/// hitters, all tagged under the tracer spans `gen-workload` /
+/// `gen-arrivals` / `serve-open-loop`.
 
 namespace hublab {
 class DistanceOracle;  // oracle/oracle.hpp
 }  // namespace hublab
 
 namespace hublab::serve {
+
+/// The oracles `hublab serve` and `hublab explain` build: the flat SoA hub
+/// labeling (hub/flat_labeling.hpp), a contraction hierarchy, and
+/// bidirectional Dijkstra.
+enum class OracleKind { kPllFlat, kCh, kBidij };
+
+[[nodiscard]] std::string_view oracle_kind_name(OracleKind kind) noexcept;
+[[nodiscard]] std::optional<OracleKind> parse_oracle_kind(std::string_view name) noexcept;
+
+/// Build one oracle over `g`.  `pll` configures the hub-label build
+/// (bit-parallel roots and construction threads; answers are identical for
+/// any value) and is ignored by the other kinds.  Throws InvalidArgument on
+/// an empty graph.
+std::unique_ptr<DistanceOracle> make_oracle(const Graph& g, OracleKind kind,
+                                            const PllConfig& pll);
+
+/// One window of the per-interval serve time series, keyed by each query's
+/// scheduled arrival offset (`arrival / window_ns`), so attribution is
+/// stable however long the query waited or ran; `qps` divides by the
+/// nominal window length (the tail window is typically partial and reads
+/// low).  `offered` / `rejected` count the arrivals in the window and how
+/// many of them admission control shed.
+struct WindowStats {
+  std::uint64_t index = 0;
+  std::uint64_t queries = 0;
+  std::uint64_t reachable = 0;
+  double qps = 0.0;
+  std::uint64_t p50_ns = 0;
+  std::uint64_t p99_ns = 0;
+  std::uint64_t offered = 0;
+  std::uint64_t rejected = 0;
+};
 
 /// Open-loop arrival process shapes.
 enum class ArrivalKind {
@@ -101,20 +143,18 @@ enum class TimingMode {
 inline constexpr std::size_t kMaxServeWorkers = 64;
 
 struct ServerConfig {
-  OracleKind oracle = OracleKind::kPllFlat;
   WorkloadKind workload = WorkloadKind::kUniform;
   std::uint64_t num_queries = 20000;
   std::uint64_t seed = 1;
   std::size_t workers = 4;  ///< shard workers, clamped to [1, kMaxServeWorkers]
-  /// Bit-parallel root count for the PLL construction (build-speed knob
-  /// only; answers are identical for any value).
-  std::size_t bp_roots = kPllDefaultBpRoots;
   double qps = 50000.0;  ///< offered load (arrivals per second); > 0
   ArrivalKind arrival = ArrivalKind::kPoisson;
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)
   AdmissionPolicy admission = AdmissionPolicy::kShed;
   std::size_t ring_capacity = 1024;  ///< per-worker ring bound (rounded to pow2)
-  std::size_t batch = 32;  ///< max items per drain block; 1 = per-query loop
+  /// Max items per drain block; 1 = per-query loop with scan attribution.
+  /// Blocks never exceed the ring capacity, whatever this asks for.
+  std::size_t batch = 32;
   TimingMode timing = TimingMode::kWall;
   std::uint64_t virtual_service_ns = 1000;  ///< per-query cost under kVirtual
   /// Telemetry trimming: queries whose *arrival* falls in the first
@@ -149,8 +189,8 @@ struct ServerResult {
   std::uint64_t trimmed_warmup = 0;   ///< completed but outside telemetry (head)
   std::uint64_t trimmed_cooldown = 0; ///< completed but outside telemetry (tail)
   std::size_t space_bytes = 0;
-  std::size_t space_bytes_flat = 0;  ///< flat SoA footprint (hub oracles)
-  double build_s = 0.0;       ///< oracle preprocessing (0 for run_server_on)
+  std::size_t space_bytes_flat = 0;  ///< flat SoA footprint (pll-flat; else 0)
+  double build_s = 0.0;       ///< oracle preprocessing; set by the caller that built it
   double serve_loop_s = 0.0;  ///< open-loop serve phase wall time
   /// Arrival-to-completion latency of untrimmed completed queries; under
   /// kVirtual these are simulated, deterministic values.
@@ -179,14 +219,11 @@ struct SweepPoint {
   std::uint64_t p99_ns = 0;
 };
 
-/// Build the configured oracle, then serve the open-loop workload against
-/// it (run_server_on).  Throws InvalidArgument on an empty graph or a
-/// non-positive qps.
-ServerResult run_server(const Graph& g, const ServerConfig& config, Tracer* tracer = nullptr);
-
-/// Serve against an already-built oracle (the sweep path: build once,
-/// serve each offered-load point).  Spans land in `tracer` when provided;
-/// registry emission obeys `config.register_metrics`.  Must not be called
+/// Serve the open-loop workload against an already-built oracle (see
+/// make_oracle; the sweep path builds once and serves each offered-load
+/// point).  Spans land in `tracer` when provided; registry emission obeys
+/// `config.register_metrics`.  Throws InvalidArgument on an empty graph,
+/// zero queries/batch/ring, or a non-positive qps.  Must not be called
 /// from inside a parallel region — the serve loop owns the pool.
 ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
                            const ServerConfig& config, Tracer* tracer = nullptr);
@@ -194,9 +231,11 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
 /// Write the schema-versioned open-loop SERVE report: the shared document
 /// (util/report.hpp) plus server members (admission/arrival/timing shape,
 /// offered/completed/rejected, trimmed counts, queue-depth quantiles,
-/// windows with offered+rejected, and the `sweep` ladder).
+/// windows with offered+rejected, and the `sweep` ladder).  `oracle` and
+/// `bp_roots` describe how the served oracle was built.
 void write_server_report_json(std::ostream& os, const ServerResult& result,
-                              const ServerConfig& config, const std::vector<SweepPoint>& sweep,
+                              const ServerConfig& config, OracleKind oracle,
+                              std::size_t bp_roots, const std::vector<SweepPoint>& sweep,
                               const Graph& g, std::string_view graph_family,
                               std::string_view git_rev, bool smoke, const Tracer& tracer);
 

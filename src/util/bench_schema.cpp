@@ -14,9 +14,8 @@ class Checker {
       return errors_;
     }
     const JsonValue* version = require(doc_, "schema_version", "", JsonValue::Kind::kNumber);
-    std::uint64_t version_value = kBenchSchemaVersion;
     if (version != nullptr) {
-      version_value = static_cast<std::uint64_t>(version->number_value);
+      const auto version_value = static_cast<std::uint64_t>(version->number_value);
       if (version->number_value < static_cast<double>(kBenchSchemaMinVersion) ||
           version->number_value > static_cast<double>(kBenchSchemaVersion) ||
           version->number_value != static_cast<double>(version_value)) {
@@ -32,14 +31,12 @@ class Checker {
     require(doc_, "ok", "", JsonValue::Kind::kBool);
     const JsonValue* reps = require(doc_, "repetitions", "", JsonValue::Kind::kNumber);
     if (reps != nullptr && reps->number_value < 1) fail("repetitions: must be >= 1");
-    if (version_value >= 2) {
-      const JsonValue* start = require(doc_, "start_unix_ms", "", JsonValue::Kind::kNumber);
-      if (start != nullptr && start->number_value < 0) fail("start_unix_ms: negative");
-      const JsonValue* rss = require(doc_, "peak_rss_bytes", "", JsonValue::Kind::kNumber);
-      if (rss != nullptr && rss->number_value < 0) fail("peak_rss_bytes: negative");
-    }
-    // `threads` is an optional v2 addition (reports written before the
-    // parallel layer lack it); when present it must be a number >= 1.
+    const JsonValue* start = require(doc_, "start_unix_ms", "", JsonValue::Kind::kNumber);
+    if (start != nullptr && start->number_value < 0) fail("start_unix_ms: negative");
+    const JsonValue* rss = require(doc_, "peak_rss_bytes", "", JsonValue::Kind::kNumber);
+    if (rss != nullptr && rss->number_value < 0) fail("peak_rss_bytes: negative");
+    // `threads` is optional (single-threaded reports may omit it); when
+    // present it must be a number >= 1.
     const JsonValue* threads = doc_.find("threads");
     if (threads != nullptr) {
       if (!threads->is_number()) fail("threads: wrong type");
@@ -116,8 +113,7 @@ class Checker {
       if (wall != nullptr && wall->number_value < 0) fail(prefix + ".wall_s: negative");
       const JsonValue* counters = p.find("counters");
       if (counters != nullptr) check_metric_object(counters, prefix + ".counters");
-      // v3 additions, both optional per phase (and harmless in older
-      // documents — unknown members were never rejected).
+      // v3 additions, both optional per phase.
       const JsonValue* tid = p.find("tid");
       if (tid != nullptr) {
         if (!tid->is_number()) fail(prefix + ".tid: wrong type");

@@ -7,15 +7,15 @@
 
 /// \file bench_schema.hpp
 /// Schema checks for the machine-readable run reports — BENCH_<name>.json
-/// from bench/harness.hpp and SERVE_<oracle>.json from `hublab serve-sim`,
+/// from bench/harness.hpp and SERVE_open_<oracle>.json from `hublab serve`,
 /// both emitted through util/report.hpp (see docs/observability.md for the
 /// schema).  Used by `hublab validate-bench` and the bench-smoke /
 /// bench-compare stages of tools/check.sh, so a producer that silently
 /// stops reporting a field fails CI instead of producing holes in the
 /// perf trajectory.
 ///
-/// Version history (the validator accepts all listed versions; the
-/// emitter writes the newest):
+/// Version history (the emitter writes the newest; the validator accepts
+/// only versions >= kBenchSchemaMinVersion, so v1-v3 reports are rejected):
 ///   1  phases + counters + gauges (+ optional histograms)
 ///   2  adds required `start_unix_ms` and `peak_rss_bytes`
 ///      (+ optional `sketches`; later also an optional `threads` member,
@@ -27,8 +27,8 @@
 ///      `branch_miss_rate` — all numbers >= 0.  `hw` appears only on
 ///      perf-capable hosts with `--perf-counters`, so reports without it
 ///      still validate.
-///   4  per-query attribution members, all optional (serve-sim emits them,
-///      benches do not): `windows` (array of per-window objects: required
+///   4  per-query attribution members, all optional (`hublab serve` emits
+///      them, benches do not): `windows` (array of per-window objects: required
 ///      `index`, `queries`, `qps`, `p50_ns`, `p99_ns` numbers >= 0),
 ///      `slow_queries` (array of exemplar objects) and `exemplars` /
 ///      `heavy_hitters` (objects keyed by store name) — see
@@ -39,8 +39,9 @@ namespace hublab {
 /// Current schema_version emitted by util/report.hpp.
 inline constexpr std::uint64_t kBenchSchemaVersion = 4;
 
-/// Oldest schema_version the validator still accepts.
-inline constexpr std::uint64_t kBenchSchemaMinVersion = 1;
+/// Oldest schema_version the validator still accepts (every committed
+/// baseline is v4).
+inline constexpr std::uint64_t kBenchSchemaMinVersion = 4;
 
 /// All schema violations in `doc` (empty result == valid).  Messages are
 /// human-readable, e.g. "phases[2].wall_s: expected a number".

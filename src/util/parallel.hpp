@@ -7,7 +7,8 @@
 
 /// \file parallel.hpp
 /// Deterministic data parallelism for the embarrassingly parallel layers
-/// (per-source SSSP, labeling verification, the serve-sim query loop).
+/// (per-source SSSP, labeling verification) and the query server's
+/// generator and shard-worker roles.
 ///
 /// The design constraint is the determinism contract (docs/performance.md):
 /// every result -- labels, defects, audit messages, report JSON modulo wall

@@ -18,7 +18,7 @@ std::string fixture_json(double build_wall_s, double tiny_wall_s, double counter
                          double sketch_p99) {
   std::ostringstream os;
   os << R"({
-    "schema_version": 2,
+    "schema_version": 4,
     "bench": "fixture",
     "git_rev": "deadbeef",
     "smoke": true,

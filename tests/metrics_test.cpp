@@ -356,8 +356,7 @@ TEST(BenchSchema, ValidatorRejectsBrokenDocuments) {
                      std::string("\"bench\": \"schema_probe\"").size(), "\"bench\": \"\"");
   EXPECT_FALSE(validate_bench_json(parse_json(empty_name)).empty());
 
-  // Required top-level members must all be present (start_unix_ms and
-  // peak_rss_bytes became required in schema version 2).
+  // Required top-level members must all be present.
   for (const char* member :
        {"bench", "git_rev", "smoke", "ok", "repetitions", "graphs", "phases", "counters",
         "gauges", "start_unix_ms", "peak_rss_bytes"}) {
@@ -439,25 +438,25 @@ TEST(BenchSchema, BpRootsMemberIsOptionalButValidated) {
   EXPECT_FALSE(validate_bench_json(parse_json(mistyped)).empty());
 }
 
-TEST(BenchSchema, ValidatorAcceptsVersion1WithoutV2Members) {
-  // Committed v1 baselines predate start_unix_ms / peak_rss_bytes; they
-  // must keep validating so bench-compare can diff old against new.
-  std::string v1 = make_harness_json(true);
+TEST(BenchSchema, ValidatorRejectsVersionsBelowMinimum) {
+  // Every committed baseline is v4, so v1-v3 reports are no longer
+  // accepted — not even a v1 document without the members v2 made
+  // required.
   const std::string version_member = "\"schema_version\": 4";
-  ASSERT_NE(v1.find(version_member), std::string::npos);
+  for (const char* old_version : {"1", "2", "3"}) {
+    std::string old = make_harness_json(true);
+    ASSERT_NE(old.find(version_member), std::string::npos);
+    old.replace(old.find(version_member), version_member.size(),
+                std::string("\"schema_version\": ") + old_version);
+    EXPECT_FALSE(validate_bench_json(parse_json(old)).empty()) << "v" << old_version;
+  }
+  std::string v1 = make_harness_json(true);
   v1.replace(v1.find(version_member), version_member.size(), "\"schema_version\": 1");
-  JsonValue doc = parse_json(v1);
-  std::erase_if(doc.object_members, [](const auto& kv) {
+  JsonValue v1_doc = parse_json(v1);
+  std::erase_if(v1_doc.object_members, [](const auto& kv) {
     return kv.first == "start_unix_ms" || kv.first == "peak_rss_bytes";
   });
-  const std::vector<std::string> errors = validate_bench_json(doc);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-
-  // A document *claiming* version 2 is rejected without them.
-  JsonValue v2_doc = parse_json(make_harness_json(true));
-  std::erase_if(v2_doc.object_members,
-                [](const auto& kv) { return kv.first == "peak_rss_bytes"; });
-  EXPECT_FALSE(validate_bench_json(v2_doc).empty());
+  EXPECT_FALSE(validate_bench_json(v1_doc).empty());
 }
 
 }  // namespace

@@ -199,8 +199,7 @@ TEST(ParallelFor, PoolIsReusableAfterAnException) {
 }
 
 TEST(RunChunks, HonorsCallerSuppliedChunkList) {
-  // Caller-fixed chunking (the serve-sim pattern): 5 uneven chunks, results
-  // keyed by index.
+  // Caller-fixed chunking: 5 uneven chunks, results keyed by index.
   const std::vector<par::ChunkRange> chunks{
       {0, 10, 0}, {10, 11, 1}, {11, 40, 2}, {40, 41, 3}, {41, 64, 4}};
   std::vector<std::size_t> counts(chunks.size(), 0);

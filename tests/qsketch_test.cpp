@@ -198,9 +198,9 @@ TEST(QuantileSketch, QuantileReturnsRecordedValues) {
 }
 
 TEST(QuantileSketch, ChunkMergeIsExecutionOrderInvariant) {
-  // The serve-sim reduction pattern (oracle/serve.cpp): the stream is cut
-  // into a *fixed* number of chunks, each chunk builds its own sketch, and
-  // the chunks are merged into the result in chunk-index order.  Workers
+  // The fixed-chunk reduction pattern: the stream is cut into a *fixed*
+  // number of chunks, each chunk builds its own sketch, and the chunks are
+  // merged into the result in chunk-index order.  Workers
   // may *execute* chunks in any order, so the merged sketch must depend
   // only on the chunk contents and the merge order — not on when each
   // chunk sketch was built.

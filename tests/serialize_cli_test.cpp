@@ -10,6 +10,7 @@
 #include "hub/serialize.hpp"
 #include "tools/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -250,7 +251,7 @@ TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {
   TempFile graph("explain_gadget");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "gadget-g", "--b", "2", "--l", "1", "-o", graph.path()}, &output), 0);
-  for (const char* oracle : {"pll", "pll-flat", "ch", "bidij"}) {
+  for (const char* oracle : {"pll-flat", "ch", "bidij"}) {
     ASSERT_EQ(run_cli({"explain", graph.path(), "0", "5", "--oracle", oracle}, &output), 0)
         << oracle << ": " << output;
     EXPECT_NE(output.find("agree=yes"), std::string::npos) << output;
@@ -269,18 +270,25 @@ TEST(Cli, ExplainRejectsBadArguments) {
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
   EXPECT_EQ(run_cli({"explain", graph.path(), "0"}, &output), 1);  // missing T
-  EXPECT_EQ(run_cli({"explain", graph.path(), "0", "99", "--oracle", "pll"}, &output), 1);
+  EXPECT_EQ(run_cli({"explain", graph.path(), "0", "99", "--oracle", "pll-flat"}, &output), 1);
   EXPECT_NE(output.find("out of range"), std::string::npos);
   EXPECT_EQ(run_cli({"explain", graph.path(), "0", "1", "--oracle", "warp"}, &output), 1);
   EXPECT_NE(output.find("unknown oracle"), std::string::npos);
+  // The vector-layout kind is not built for queries: pll-flat serves the
+  // same labeling faster.
+  EXPECT_EQ(run_cli({"explain", graph.path(), "0", "1", "--oracle", "pll"}, &output), 1);
+  EXPECT_NE(output.find("unknown oracle: pll (pll-flat|ch|bidij)"), std::string::npos) << output;
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--smoke", "--oracle", "pll"}, &output), 1);
+  EXPECT_NE(output.find("serve: unknown oracle: pll (pll-flat|ch|bidij)"), std::string::npos)
+      << output;
 }
 
-TEST(Cli, ServeSimSlowQueryFlagsLandInReport) {
+TEST(Cli, ServeSlowQueryFlagsLandInReport) {
   TempFile graph("serve_slow");
   TempFile json("serve_slow_json");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "6", "--cols", "6", "-o", graph.path()}, &output), 0);
-  ASSERT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "200", "--slow-query-ms",
+  ASSERT_EQ(run_cli({"serve", graph.path(), "--smoke", "--queries", "200", "--slow-query-ms",
                      "0.000001", "--window-ms", "1", "--json-out", json.path()},
                     &output),
             0)
@@ -294,23 +302,27 @@ TEST(Cli, ServeSimSlowQueryFlagsLandInReport) {
   EXPECT_NE(text.find("\"windows\""), std::string::npos);
   EXPECT_NE(text.find("\"slow_queries\""), std::string::npos);
   EXPECT_NE(text.find("\"slow_queries_total\""), std::string::npos);
+  // The CLI times the oracle build it serves from.
+  const JsonValue doc = parse_json(text);
+  ASSERT_NE(doc.find("build_s"), nullptr);
+  EXPECT_GT(doc.find("build_s")->number_value, 0.0);
   // The run report is accepted by the bundled validator (schema v4).
   EXPECT_EQ(run_cli({"validate-bench", json.path()}, &output), 0) << output;
 }
 
-TEST(Cli, ServeSimPromOutFailsCleanlyOnUnwritablePath) {
+TEST(Cli, ServePromOutFailsCleanlyOnUnwritablePath) {
   TempFile graph("serve_prom_fail");
   TempFile json("serve_prom_fail_json");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "4", "--cols", "4", "-o", graph.path()}, &output), 0);
-  EXPECT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "100", "--json-out",
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--smoke", "--queries", "100", "--json-out",
                      json.path(), "--prom-out", "/nonexistent-dir/prom.txt"},
                     &output),
             1);
-  EXPECT_NE(output.find("error: serve-sim: cannot write /nonexistent-dir/prom.txt"),
+  EXPECT_NE(output.find("error: serve: cannot write /nonexistent-dir/prom.txt"),
             std::string::npos)
       << output;
-  EXPECT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "100", "--window-ms",
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--smoke", "--queries", "100", "--window-ms",
                      "0"},
                     &output),
             1);

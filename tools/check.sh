@@ -10,16 +10,15 @@
 #   7. bench smoke: every bench --smoke + JSON schema validation
 #   8. bench-compare: smoke runs vs bench/baselines/  (relaxed thresholds)
 #   9. trajectory: headline gauges appended to bench/trajectory.jsonl
-#  10. serve-sim smoke + SERVE_*.json schema validation + Prometheus dump
-#  11. open-loop serve smoke: `hublab serve` at low wall QPS (nothing
-#      shed) and under virtual-time overload (deterministic shedding),
-#      both reports schema-validated
-#  12. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
+#  10. serve smoke: `hublab serve` at low wall QPS on 4 workers (nothing
+#      shed, Prometheus dump) and under virtual-time overload
+#      (deterministic shedding), both reports schema-validated
+#  11. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
 #      blocks (validated when the host has hardware counters, cleanly
 #      skipped where perf_event_open is unavailable)
-#  13. batch kernel: ISA-tier banner, HUBLAB_FORCE_SCALAR forced-scalar
+#  12. batch kernel: ISA-tier banner, HUBLAB_FORCE_SCALAR forced-scalar
 #      run, and the pract.batch_query_pct_of_scalar.gnm2000 <= 70 gate
-#  14. -Wall -Wextra -Werror build of the full tree  (preset werror)
+#  13. -Wall -Wextra -Werror build of the full tree  (preset werror)
 #
 # Exits non-zero on the first failing stage.  Run from anywhere.
 #
@@ -56,35 +55,34 @@ if [ "${1:-}" = "regen-baselines" ]; then
   exit 0
 fi
 
-stage "1/14 RelWithDebInfo build + tests"
+stage "1/13 RelWithDebInfo build + tests"
 cmake --preset dev
 cmake --build --preset dev -j "${jobs}"
 ctest --preset dev -j "${jobs}"
 
-stage "2/14 ASan+UBSan build + tests"
+stage "2/13 ASan+UBSan build + tests"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${jobs}"
 ctest --preset asan-ubsan -j "${jobs}"
 
-stage "3/14 TSan build + parallel-path tests"
+stage "3/13 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point, the flat kernel, the
-# threaded serve loop and the sketch merges it reduces with, plus the open
-# -loop server's SPSC rings and generator/worker handoff.  -fsanitize=
-# thread aborts on the first data race (no recovery), so a green run means
-# zero reports.
+# sketch merges the server reduces with, and the server's SPSC rings and
+# generator/worker handoff.  -fsanitize=thread aborts on the first data
+# race (no recovery), so a green run means zero reports.
 cmake --preset tsan
 cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -j "${jobs}" \
-  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|RunSim|QuantileSketch|PllBp|SpscRing|ServeOpen'
+  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllBp|SpscRing|ServeOpen'
 
-stage "4/14 clang-tidy gate"
+stage "4/13 clang-tidy gate"
 cmake --build --preset dev --target run-tidy
 
-stage "5/14 hublab_lint (with header self-containment)"
+stage "5/13 hublab_lint (with header self-containment)"
 cmake --build --preset dev --target run-lint
 
-stage "6/14 hublab_lint SARIF artifact"
+stage "6/13 hublab_lint SARIF artifact"
 # Re-run the analyzer emitting SARIF (the CI-consumable artifact) and prove
 # the document is well-formed 2.1.0 with the full rule catalog.  Headers
 # were already probed in stage 5.
@@ -102,7 +100,7 @@ print(f"sarif: valid 2.1.0, {len(rules)} rules, {len(run['results'])} results")
 PY
 rm -f "${sarif_out}"
 
-stage "7/14 bench smoke + BENCH_*.json schema validation"
+stage "7/13 bench smoke + BENCH_*.json schema validation"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 repo_root="$(pwd -P)"
@@ -121,7 +119,7 @@ fi
 build/dev/tools/hublab validate-bench "${smoke_dir}"/BENCH_*.json
 echo "bench-smoke: ${bench_count} benches, ${json_count} schema-valid JSON files"
 
-stage "8/14 bench-compare vs committed baselines"
+stage "8/13 bench-compare vs committed baselines"
 # Wall-clock thresholds are deliberately loose here (different machines,
 # shared CI runners); structural metrics are seeded and should stay close.
 compare_failures=0
@@ -158,7 +156,7 @@ if [ "${bp_pct}" -gt 70 ]; then
 fi
 echo "bench-compare: bp construction at ${bp_pct}% of scalar (<= 70%)"
 
-stage "9/14 bench trajectory (headline gauges -> bench/trajectory.jsonl)"
+stage "9/13 bench trajectory (headline gauges -> bench/trajectory.jsonl)"
 # Append this run's headline practicality gauges to the committed history
 # so `git log -p bench/trajectory.jsonl` reads as a perf trajectory across
 # revisions.  One line per git revision: re-running check.sh at the same
@@ -208,29 +206,17 @@ with open(path, "w") as fh:
 print(f"trajectory: {len(lines)} point(s), latest {json.dumps(headline)}")
 PY
 
-stage "10/14 serve-sim smoke + SERVE_*.json schema validation"
+stage "10/13 serve smoke (hublab serve, wall + virtual overload)"
+# Two runs against a generated gadget graph: a wall-clock run on 4 workers
+# at a QPS the box trivially sustains (block admission: nothing is shed),
+# which also dumps the registry as Prometheus text, and a virtual-time
+# overload run offering 8x the simulated capacity against a small ring
+# (shed admission: rejections are mandatory and deterministic).
 (cd "${smoke_dir}" \
   && "${repo_root}/build/dev/tools/hublab" gen gadget-g --b 2 --l 1 -o serve_graph.txt > /dev/null \
-  && "${repo_root}/build/dev/tools/hublab" serve-sim serve_graph.txt \
-       --oracle pll --workload uniform --smoke --prom-out SERVE_pll.prom > /dev/null \
-  && "${repo_root}/build/dev/tools/hublab" serve-sim serve_graph.txt \
-       --oracle pll-flat --workload uniform --smoke --threads 4 \
-       --json-out SERVE_pll_flat.json > /dev/null)
-build/dev/tools/hublab validate-bench --quiet "${smoke_dir}"/SERVE_*.json
-grep -q "hublab_serve_query_ns" "${smoke_dir}/SERVE_pll.prom"
-grep -q "hublab_proc_peak_rss_bytes" "${smoke_dir}/SERVE_pll.prom"
-grep -q '"threads": 4' "${smoke_dir}/SERVE_pll_flat.json"
-echo "serve-sim: SERVE_*.json schema-valid, Prometheus dump has serve metrics"
-
-stage "11/14 open-loop serve smoke (hublab serve, wall + virtual overload)"
-# Two runs against the gadget graph from stage 10: a wall-clock run at a
-# QPS the box trivially sustains (block admission: nothing is shed) and a
-# virtual-time overload run offering 8x the simulated capacity against a
-# small ring (shed admission: rejections are mandatory and deterministic).
-(cd "${smoke_dir}" \
   && "${repo_root}/build/dev/tools/hublab" serve serve_graph.txt \
-       --oracle pll-flat --workload uniform --smoke --workers 2 \
-       --qps 20000 --admission block \
+       --oracle pll-flat --workload uniform --smoke --workers 4 \
+       --qps 20000 --admission block --prom-out SERVE_open_low.prom \
        --json-out SERVE_open_low.json > /dev/null \
   && "${repo_root}/build/dev/tools/hublab" serve serve_graph.txt \
        --oracle pll-flat --workload uniform --smoke --workers 2 \
@@ -239,6 +225,9 @@ stage "11/14 open-loop serve smoke (hublab serve, wall + virtual overload)"
        --json-out SERVE_open_overload.json > /dev/null)
 build/dev/tools/hublab validate-bench --quiet \
   "${smoke_dir}/SERVE_open_low.json" "${smoke_dir}/SERVE_open_overload.json"
+grep -q "hublab_serve_query_ns" "${smoke_dir}/SERVE_open_low.prom"
+grep -q "hublab_proc_peak_rss_bytes" "${smoke_dir}/SERVE_open_low.prom"
+grep -q '"threads": 4' "${smoke_dir}/SERVE_open_low.json"
 python3 - "${smoke_dir}" <<'PY'
 import json, sys
 smoke_dir = sys.argv[1]
@@ -254,9 +243,9 @@ assert over["queries"] + over["rejected"] == over["offered"], \
 print(f"serve-open: low rejected=0/{low['offered']}, "
       f"overload rejected={over['rejected']}/{over['offered']}")
 PY
-echo "serve-open: SERVE_open_*.json schema-valid, admission behaves at both extremes"
+echo "serve-open: SERVE_open_*.json schema-valid, admission behaves at both extremes, Prometheus dump has serve metrics"
 
-stage "12/14 perf-counters smoke + schema-v3 hw validation"
+stage "11/13 perf-counters smoke + schema-v3 hw validation"
 # The banner always states a verdict ("hardware ..." / "unavailable ...");
 # hw blocks in the JSON are required only on hardware-capable hosts —
 # containers and locked-down kernels degrade to the timer-only fallback.
@@ -277,7 +266,7 @@ else
   echo "perf-smoke: $(grep '^perf counters: ' "${perf_log}") -- hw blocks not required"
 fi
 
-stage "13/14 batch query kernel: tier banner, forced-scalar run, pct gate"
+stage "12/13 batch query kernel: tier banner, forced-scalar run, pct gate"
 # The batched kernel's three-tier dispatch must (a) report which ISA tier
 # it resolved, (b) degrade to the scalar tier under HUBLAB_FORCE_SCALAR=1
 # with the identity checks still green, and (c) keep its win on the sparse
@@ -311,7 +300,7 @@ if [ "${batch_pct}" -gt 70 ]; then
 fi
 echo "batch-kernel: batched queries at ${batch_pct}% of scalar on gnm2000 (<= 70%)"
 
-stage "14/14 Werror build"
+stage "13/13 Werror build"
 cmake --preset werror
 cmake --build --preset werror -j "${jobs}"
 

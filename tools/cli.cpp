@@ -21,7 +21,6 @@
 #include "lowerbound/certify.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/serve.hpp"
 #include "oracle/server.hpp"
 #include "rs/rs_graph.hpp"
 #include "sumindex/sumindex.hpp"
@@ -395,106 +394,15 @@ int cmd_validate_bench(Args& args, std::ostream& out) {
   return any_invalid ? 1 : 0;
 }
 
-/// Closed-loop query-serving simulation (see oracle/serve.hpp): build one
-/// oracle, drive a synthetic workload, report latency quantiles, and emit a
-/// SERVE_<oracle>.json run report plus an optional Prometheus text dump.
-int cmd_serve_sim(Args& args, std::ostream& out) {
-  const auto file = args.next_positional();
-  if (!file) {
-    throw InvalidArgument(
-        "serve-sim: usage: serve-sim GRAPH [--oracle pll|pll-flat|ch|bidij] "
-        "[--workload uniform|zipf|near|far] [--queries N] [--warmup N] [--seed N] "
-        "[--threads N] [--batch N] [--bp-roots N] [--slow-query-ms MS] [--window-ms MS] "
-        "[--smoke] [--perf-counters] [--json-out FILE] [--prom-out FILE]");
+/// `--oracle K` of the commands that build one oracle; pll-flat by default.
+serve::OracleKind oracle_option(const Args& args, const std::string& command) {
+  const auto o = args.option("--oracle");
+  if (!o) return serve::OracleKind::kPllFlat;
+  const auto kind = serve::parse_oracle_kind(*o);
+  if (!kind) {
+    throw InvalidArgument(command + ": unknown oracle: " + *o + " (pll-flat|ch|bidij)");
   }
-  serve::SimConfig config;
-  if (const auto o = args.option("--oracle")) {
-    const auto kind = serve::parse_oracle_kind(*o);
-    if (!kind) {
-      throw InvalidArgument("serve-sim: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
-    }
-    config.oracle = *kind;
-  }
-  if (const auto w = args.option("--workload")) {
-    const auto kind = serve::parse_workload_kind(*w);
-    if (!kind) {
-      throw InvalidArgument("serve-sim: unknown workload: " + *w + " (uniform|zipf|near|far)");
-    }
-    config.workload = *kind;
-  }
-  const bool smoke = args.flag("--smoke");
-  config.num_queries = args.option_u64("--queries", smoke ? 500 : 10000);
-  config.warmup = args.option_u64("--warmup", 100);
-  config.seed = args.option_u64("--seed", 1);
-  config.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
-  config.batch = static_cast<std::size_t>(args.option_u64("--batch", 1));
-  if (config.batch == 0) throw InvalidArgument("serve-sim: --batch must be >= 1");
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
-  const double slow_ms = args.option_double("--slow-query-ms", 0.0);
-  if (slow_ms < 0.0) throw InvalidArgument("serve-sim: --slow-query-ms must be >= 0");
-  config.slow_query_ns = static_cast<std::uint64_t>(slow_ms * 1e6);
-  const double window_ms = args.option_double("--window-ms", 1000.0);
-  if (window_ms <= 0.0) throw InvalidArgument("serve-sim: --window-ms must be > 0");
-  config.window_ns = static_cast<std::uint64_t>(window_ms * 1e6);
-
-  if (args.flag("--perf-counters")) {
-    perf::set_enabled(true);
-    out << "perf counters: " << perf::describe() << "\n";
-  }
-
-  const Graph g = io::load_edge_list(*file);
-  metrics::registry().reset();
-  Tracer tracer;
-  const serve::SimResult result = serve::run_sim(g, config, &tracer);
-  metrics::registry()
-      .gauge("proc.peak_rss_bytes")
-      .set(static_cast<std::int64_t>(peak_rss_bytes()));
-
-  const QuantileSketch& lat = result.latency_ns;
-  out << "serve-sim " << *file << ": oracle=" << result.oracle_name
-      << " workload=" << result.workload_name << " threads=" << result.threads
-      << " batch=" << config.batch << " queries=" << result.queries
-      << " reachable=" << result.reachable << "\n";
-  out << "  build_s=" << result.build_s << " space_bytes=" << result.space_bytes
-      << " space_bytes_flat=" << result.space_bytes_flat
-      << " query_loop_s=" << result.query_loop_s << "\n";
-  out << "  latency_ns: p50=" << lat.quantile(0.5) << " p90=" << lat.quantile(0.9)
-      << " p99=" << lat.quantile(0.99) << " p999=" << lat.quantile(0.999)
-      << " max=" << lat.max() << " (rank error <= " << lat.rank_error_bound() << ")\n";
-  out << "  workers=" << result.worker_busy_ns.size()
-      << " utilization_pct=" << result.worker_utilization_pct << "\n";
-  out << "  windows=" << result.windows.size()
-      << " slow_queries=" << result.slow_queries.total_slow()
-      << " exemplars=" << result.exemplars.count() << "\n";
-  if (result.hw.valid) {
-    out << "  hw: ipc=" << result.hw.ipc() << " llc_miss_rate=" << result.hw.llc_miss_rate()
-        << " branch_miss_rate=" << result.hw.branch_miss_rate() << "\n";
-  }
-
-  const std::string json_path =
-      args.option("--json-out")
-          .value_or("SERVE_" + std::string(serve::oracle_kind_name(config.oracle)) + ".json");
-  {
-    std::ofstream json(json_path);
-    if (!json) throw Error("serve-sim: cannot write " + json_path);
-    serve::write_serve_report_json(json, result, config, g, *file, HUBLAB_GIT_REV, smoke, tracer);
-    // An open() that succeeded can still lose the payload (full disk,
-    // /dev/full, directory swept away mid-run) — flush and re-check before
-    // claiming success.
-    json.flush();
-    if (!json) throw Error("serve-sim: cannot write " + json_path);
-  }
-  out << "serve JSON written to " << json_path << "\n";
-
-  if (const auto prom = args.option("--prom-out")) {
-    std::ofstream prom_out(*prom);
-    if (!prom_out) throw Error("serve-sim: cannot write " + *prom);
-    write_prometheus_text(metrics::registry(), prom_out);
-    prom_out.flush();
-    if (!prom_out) throw Error("serve-sim: cannot write " + *prom);
-    out << "prometheus dump written to " << *prom << "\n";
-  }
-  return 0;
+  return *kind;
 }
 
 /// Open-loop concurrent query server (see oracle/server.hpp): build one
@@ -506,7 +414,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   const auto file = args.next_positional();
   if (!file) {
     throw InvalidArgument(
-        "serve: usage: serve GRAPH [--oracle pll|pll-flat|ch|bidij] "
+        "serve: usage: serve GRAPH [--oracle pll-flat|ch|bidij] "
         "[--workload uniform|zipf|near|far] [--queries N] [--seed N] [--workers N] "
         "[--qps RATE] [--qps-sweep R1,R2,...] [--arrival poisson|burst] [--burst N] "
         "[--admission shed|block] [--ring N] [--batch N] [--timing wall|virtual] "
@@ -515,13 +423,7 @@ int cmd_serve(Args& args, std::ostream& out) {
         "[--json-out FILE] [--prom-out FILE]");
   }
   serve::ServerConfig config;
-  if (const auto o = args.option("--oracle")) {
-    const auto kind = serve::parse_oracle_kind(*o);
-    if (!kind) {
-      throw InvalidArgument("serve: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
-    }
-    config.oracle = *kind;
-  }
+  const serve::OracleKind oracle_kind = oracle_option(args, "serve");
   if (const auto w = args.option("--workload")) {
     const auto kind = serve::parse_workload_kind(*w);
     if (!kind) {
@@ -558,7 +460,8 @@ int cmd_serve(Args& args, std::ostream& out) {
       args.option_u64("--virtual-service-ns", config.virtual_service_ns);
   config.warmup_ms = args.option_u64("--warmup-ms", config.warmup_ms);
   config.cooldown_ms = args.option_u64("--cooldown-ms", config.cooldown_ms);
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
+  const PllConfig pll{static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots)),
+                      config.workers};
   const double slow_ms = args.option_double("--slow-query-ms", 0.0);
   if (slow_ms < 0.0) throw InvalidArgument("serve: --slow-query-ms must be >= 0");
   config.slow_query_ns = static_cast<std::uint64_t>(slow_ms * 1e6);
@@ -602,11 +505,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   {
     auto span = tracer.span("build-oracle");
     Timer build_timer;
-    serve::SimConfig build_config;
-    build_config.oracle = config.oracle;
-    build_config.bp_roots = config.bp_roots;
-    build_config.threads = config.workers;
-    oracle = serve::make_oracle(g, build_config);
+    oracle = serve::make_oracle(g, oracle_kind, pll);
     build_s = build_timer.elapsed_s();
   }
 
@@ -659,13 +558,12 @@ int cmd_serve(Args& args, std::ostream& out) {
 
   const std::string json_path =
       args.option("--json-out")
-          .value_or("SERVE_open_" + std::string(serve::oracle_kind_name(config.oracle)) +
-                    ".json");
+          .value_or("SERVE_open_" + std::string(serve::oracle_kind_name(oracle_kind)) + ".json");
   {
     std::ofstream json(json_path);
     if (!json) throw Error("serve: cannot write " + json_path);
-    serve::write_server_report_json(json, result, config, sweep, g, *file, HUBLAB_GIT_REV,
-                                    smoke, tracer);
+    serve::write_server_report_json(json, result, config, oracle_kind, pll.bp_roots, sweep, g,
+                                    *file, HUBLAB_GIT_REV, smoke, tracer);
     json.flush();
     if (!json) throw Error("serve: cannot write " + json_path);
   }
@@ -694,20 +592,12 @@ int cmd_explain(Args& args, std::ostream& out) {
   const auto t_str = args.next_positional();
   if (!graph_file || !s_str || !t_str) {
     throw InvalidArgument(
-        "explain: usage: explain GRAPH S T [--oracle pll|pll-flat|ch|bidij] "
-        "[--seed N] [--threads N] [--bp-roots N]");
+        "explain: usage: explain GRAPH S T [--oracle pll-flat|ch|bidij] "
+        "[--threads N] [--bp-roots N]");
   }
-  serve::SimConfig config;
-  if (const auto o = args.option("--oracle")) {
-    const auto kind = serve::parse_oracle_kind(*o);
-    if (!kind) {
-      throw InvalidArgument("explain: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
-    }
-    config.oracle = *kind;
-  }
-  config.seed = args.option_u64("--seed", 1);
-  config.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
+  const serve::OracleKind oracle_kind = oracle_option(args, "explain");
+  const PllConfig pll{static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots)),
+                      static_cast<std::size_t>(args.option_u64("--threads", 0))};
 
   const std::uint64_t t0 = monotonic_ns();
   const Graph g = io::load_edge_list(*graph_file);
@@ -718,7 +608,7 @@ int cmd_explain(Args& args, std::ostream& out) {
     throw InvalidArgument("explain: vertex out of range");
   }
 
-  const std::unique_ptr<DistanceOracle> oracle = serve::make_oracle(g, config);
+  const std::unique_ptr<DistanceOracle> oracle = serve::make_oracle(g, oracle_kind, pll);
   const std::uint64_t t_built = monotonic_ns();
 
   metrics::QueryStats probe;
@@ -860,8 +750,8 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
   fr::install_crash_handler();
   if (args.empty()) {
     err << "usage: hublab "
-           "<gen|stats|label|query|explain|verify|certify-gadget|sumindex|trace|serve-sim|"
-           "serve|profile|validate-bench|bench-compare> ...\n";
+           "<gen|stats|label|query|explain|verify|certify-gadget|sumindex|trace|serve|"
+           "profile|validate-bench|bench-compare> ...\n";
     return 2;
   }
   Args rest(std::vector<std::string>(args.begin() + 1, args.end()));
@@ -877,7 +767,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     if (args[0] == "certify-gadget") return cmd_certify_gadget(rest, out);
     if (args[0] == "sumindex") return cmd_sumindex(rest, out);
     if (args[0] == "trace") return cmd_trace(rest, out);
-    if (args[0] == "serve-sim") return cmd_serve_sim(rest, out);
     if (args[0] == "serve") return cmd_serve(rest, out);
     if (args[0] == "explain") return cmd_explain(rest, out);
     if (args[0] == "validate-bench") return cmd_validate_bench(rest, out);

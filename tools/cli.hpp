@@ -16,9 +16,11 @@
 ///   certify-gadget B L                  Lemma 2.2 + counting bound
 ///   sumindex B L [--trials N]           run the Theorem 1.6 protocol
 ///   trace GRAPH [--chrome FILE]         phase-traced PLL pipeline
-///   serve-sim GRAPH [--oracle K]        query-serving latency simulation
+///   serve GRAPH [--oracle K] [--qps R]  open-loop query server: latency,
+///                                       shedding and saturation
 ///                                       (--perf-counters adds hardware
 ///                                       counters where available)
+///   explain GRAPH S T [--oracle K]      one query's attribution breakdown
 ///   profile [--hz N] [--folded FILE] <command...>
 ///                                       run any subcommand under the
 ///                                       sampling profiler; writes folded
