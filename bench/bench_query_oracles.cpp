@@ -76,6 +76,23 @@ const Workload& sparse_workload() {
   return w;
 }
 
+/// The smallest random sparse family above the stamp-table bound (n <= 2730
+/// keeps the tables in L1; see FlatHubLabeling::query_batch): its blocks
+/// take the per-pair merge kernel, so its batch gauge guards that path.
+const Workload& merge_workload() {
+  static const Workload w = [] {
+    Workload wl;
+    Rng rng(6);
+    wl.graph = gen::connected_gnm(2800, 5600, rng);
+    wl.labels = pruned_landmark_labeling(wl.graph);
+    wl.flat = FlatHubLabeling(wl.labels);
+    wl.queries =
+        serve::WorkloadGenerator(wl.graph, serve::WorkloadKind::kUniform, 7).block(kQueryPairs);
+    return wl;
+  }();
+  return w;
+}
+
 void bm_hub_query(benchmark::State& state, const Workload& w) {
   std::size_t i = 0;
   for (auto _ : state) {
@@ -306,6 +323,8 @@ int main(int argc, char** argv) {
                     hublab::road_workload().graph.num_edges());
   harness.add_graph("connected-gnm", hublab::sparse_workload().graph.num_vertices(),
                     hublab::sparse_workload().graph.num_edges());
+  harness.add_graph("connected-gnm", hublab::merge_workload().graph.num_vertices(),
+                    hublab::merge_workload().graph.num_edges());
 
   std::size_t ran = 0;
   {
@@ -327,6 +346,7 @@ int main(int argc, char** argv) {
                 hublab::simd::tier_name(hublab::simd::active_tier()));
     batch_ok = hublab::run_batch_phase(harness, "road40x40", hublab::road_workload());
     batch_ok = hublab::run_batch_phase(harness, "gnm2000", hublab::sparse_workload()) && batch_ok;
+    batch_ok = hublab::run_batch_phase(harness, "gnm2800", hublab::merge_workload()) && batch_ok;
   }
   {
     auto llc_span = harness.phase("llc-miss-scan");

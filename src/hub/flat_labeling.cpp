@@ -57,11 +57,27 @@ void FlatHubLabeling::query_batch(std::span<const std::pair<Vertex, Vertex>> pai
 
 namespace {
 
-/// Below this block size the per-pair merge kernel wins: the stamp-table
-/// path pays an O(num_vertices) scratch allocation per call, which only
-/// amortizes over enough pairs.  Both paths are byte-identical, so the
-/// threshold is invisible in the answers.
-constexpr std::size_t kStampBatchThreshold = 32;
+/// The stamp-table path runs only on blocks of at least kStampMinPairs
+/// pairs (below that, the per-call O(num_vertices) table set-up does not
+/// amortize) over graphs whose two tables, a u32 stamp and a Dist per
+/// vertex, fit in a 32 KiB L1 data cache together (n <= 2730).  Served
+/// pairs almost never share a source, so the tables buy nothing back from
+/// reuse: only L1-resident scatters and gathers beat the merge kernel,
+/// and larger tables miss cache on every probe.  Both paths are
+/// byte-identical, so the choice is invisible in the answers.
+constexpr std::size_t kStampMinPairs = 32;
+constexpr std::size_t kStampMaxVertices =
+    (std::size_t{32} << 10) / (sizeof(std::uint32_t) + sizeof(Dist));
+
+/// Prefetch every cache line of one label's hub and distance columns,
+/// sentinel included (`entries` = label size + 1).
+void prefetch_label(const Vertex* hubs, const Dist* dists, std::size_t entries) {
+  constexpr std::size_t kLine = 64;
+  for (std::size_t i = 0; i < entries; i += kLine / sizeof(Vertex)) __builtin_prefetch(hubs + i);
+  __builtin_prefetch(hubs + entries - 1);
+  for (std::size_t i = 0; i < entries; i += kLine / sizeof(Dist)) __builtin_prefetch(dists + i);
+  __builtin_prefetch(dists + entries - 1);
+}
 
 }  // namespace
 
@@ -78,12 +94,12 @@ void FlatHubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>
   });
   std::uint64_t groups = 0;
   Vertex prev_source = kInvalidVertex;  // never a valid source
-  if (pairs.size() >= kStampBatchThreshold) {
+  if (pairs.size() >= kStampMinPairs && num_vertices_ <= kStampMaxVertices) {
     // Stamp-table path: scatter each source group's label into dense
     // per-hub tables once (`stamp[h] == group` marks membership, sdist[h]
     // the distance), then answer every query of the group with one linear
     // probe scan of its target label — no merge, no data-dependent
-    // branches, and the tables stay cache-resident across the group.
+    // branches, and the tables stay L1-resident across the block.
     const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
     std::vector<std::uint32_t> stamp(num_vertices_, 0);
     std::vector<Dist> sdist(num_vertices_);
@@ -107,8 +123,21 @@ void FlatHubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>
                        stamp.data(), sdist.data(), static_cast<std::uint32_t>(groups));
     }
   } else {
+    // Merge path: one sorted-hub intersection per pair.  Labels that miss
+    // cache stall the merge on every line, so while a pair merges, the
+    // next pair's four columns are prefetched.
     const simd::KernelFn kernel = simd::kernel_for(tier);
-    for (const std::uint32_t idx : order) {
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      if (k + 1 < order.size()) {
+        const auto [nu, nv] = pairs[order[k + 1]];
+        HUBLAB_ASSERT_RANGE(nu, num_vertices_);
+        HUBLAB_ASSERT_RANGE(nv, num_vertices_);
+        prefetch_label(hubs_.data() + offsets_[nu], dists_.data() + offsets_[nu],
+                       label_size(nu) + 1);
+        prefetch_label(hubs_.data() + offsets_[nv], dists_.data() + offsets_[nv],
+                       label_size(nv) + 1);
+      }
+      const std::uint32_t idx = order[k];
       const auto [u, v] = pairs[idx];
       HUBLAB_ASSERT_RANGE(u, num_vertices_);
       HUBLAB_ASSERT_RANGE(v, num_vertices_);
@@ -120,10 +149,16 @@ void FlatHubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>
                         hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v));
     }
   }
-  metrics::Registry& reg = metrics::registry();
-  reg.counter("query.batch.calls").add(1);
-  reg.counter("query.batch.pairs").add(pairs.size());
-  reg.counter("query.batch.source_groups").add(groups);
+  // Resolved once: each registry() lookup takes the registry lock, and
+  // every serving worker runs this per block.  The handles stay valid for
+  // the registry's lifetime.
+  static metrics::Counter& calls = metrics::registry().counter("query.batch.calls");
+  static metrics::Counter& batched_pairs = metrics::registry().counter("query.batch.pairs");
+  static metrics::Counter& source_groups =
+      metrics::registry().counter("query.batch.source_groups");
+  calls.add(1);
+  batched_pairs.add(pairs.size());
+  source_groups.add(groups);
 }
 
 }  // namespace hublab

@@ -151,13 +151,16 @@ class FlatHubLabeling {
 
   /// Batched queries: answer `pairs[i]` into `out[i]` (same size spans).
   /// The block is grouped by source vertex (a deterministic stable sort of
-  /// indices), so consecutive kernel calls reuse the same source label
-  /// columns — the cache-blocking that makes batching pay — and the
-  /// sorted-hub intersections run on the tier reported by
-  /// `simd::active_tier()`.  Results are byte-identical to per-query
-  /// `query_with_hub` for every tier and batch size: same distance, same
-  /// meeting hub.  Registers the `query.batch.*` counters
-  /// (docs/observability.md).
+  /// indices), so consecutive queries share a source label where the
+  /// block repeats sources, and the kernels run on the tier reported by
+  /// `simd::active_tier()`.  Blocks of at least 32 pairs on graphs whose
+  /// per-vertex stamp tables fit in 32 KiB of L1 (n <= 2730) take the
+  /// stamp-table probe (simd::ProbeFn); every other block takes the
+  /// per-pair SIMD merge (simd::KernelFn), prefetching the next pair's
+  /// label columns while the current pair merges.  Results are
+  /// byte-identical to per-query `query_with_hub` for every tier, batch
+  /// size and path: same distance, same meeting hub.  Registers the
+  /// `query.batch.*` counters (docs/observability.md).
   void query_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                    std::span<HubQueryResult> out) const;
 

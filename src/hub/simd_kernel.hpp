@@ -14,8 +14,9 @@
 /// a distance-sum minimum — the serving hot path the paper's Section 1.1
 /// trade-off prices.  The kernels here process the columns in SIMD blocks
 /// (all-lanes-vs-all-lanes equality over register rotations, the idiom of
-/// vectorized sorted-set intersection), falling back to the scalar
-/// sentinel merge for the tails, behind a three-tier dispatch:
+/// vectorized sorted-set intersection), fold each block's matches through
+/// the B lane its rotation implies, and fall back to the scalar sentinel
+/// merge for the tails, behind a three-tier dispatch:
 ///
 ///   1. compile time — each ISA kernel lives in its own TU
 ///      (`simd_kernel_avx2.cpp`, `simd_kernel_avx512.cpp`) compiled with
@@ -78,15 +79,19 @@ using KernelFn = HubQueryResult (*)(const Vertex* hubs_a, const Dist* dists_a, s
 /// per pair.  intersect() is kernel_for(tier)(...).
 [[nodiscard]] KernelFn kernel_for(Tier tier) noexcept;
 
-/// Stamp-table probe: the large-batch kernel.  `query_batch` scatters each
-/// source group's label into dense per-hub tables (`stamp[h] == current`
-/// marks h ∈ S(source), `sdist[h]` its distance), then answers every query
-/// of the group with one linear scan of the *target* label — `size_t_`
-/// entries of `hubs_t`/`dists_t` — probing the tables per hub.  The tables
-/// are L1/L2-resident and reused across the group, so the scan has no
-/// merge branches to mispredict; the AVX2/AVX-512 tiers vectorize it with
-/// gathered stamp loads.  Same answer as intersect() on the same labels:
-/// the lexicographic (dist, hub) minimum over the common hubs.
+/// Stamp-table probe: the kernel for blocks of at least 32 pairs on small
+/// graphs.  `query_batch` scatters each source group's label into dense
+/// per-hub tables (`stamp[h] == current` marks h ∈ S(source), `sdist[h]`
+/// its distance), then answers every query of the group with one linear
+/// scan of the *target* label — `size_t_` entries of `hubs_t`/`dists_t` —
+/// probing the tables per hub.  `query_batch` takes this path only while
+/// both tables fit in 32 KiB of L1 (n <= 2730): the scan then has no merge
+/// branches to mispredict and its gathers hit L1, but on larger graphs
+/// every probe misses and the per-block table set-up is never repaid
+/// (served pairs rarely share a source).  The AVX2/AVX-512 tiers
+/// vectorize the scan with gathered stamp loads.  Same answer as
+/// intersect() on the same labels: the lexicographic (dist, hub) minimum
+/// over the common hubs.
 using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
                                    const std::uint32_t* stamp, const Dist* sdist,
                                    std::uint32_t current);

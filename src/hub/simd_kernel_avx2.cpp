@@ -1,14 +1,14 @@
 // AVX2 tier of the batched query kernel (see simd_kernel.hpp): 8-lane
 // block intersection of two ascending hub columns.  Each step compares one
 // 8-hub block of A against all 8 rotations of one 8-hub block of B
-// (all-pairs equality via _mm256_permutevar8x32_epi32 + cmpeq), resolves
-// the rare matches scalarly against the split distance columns, and
-// advances whichever block's maximum is not larger — the standard
-// vectorized sorted-set-intersection walk, which visits every common hub
-// exactly once and in globally ascending hub order.  Tails shorter than a
-// block finish on the sentinel merge.  The lexicographic (dist, hub)
-// minimum makes the answer byte-identical to the scalar kernel: smallest
-// distance, and among ties the smallest hub id.
+// (all-pairs equality via _mm256_permutevar8x32_epi32 + cmpeq), folds
+// each match through the B lane index its rotation implies, and advances
+// whichever block's maximum is not larger — the standard vectorized
+// sorted-set-intersection walk, which visits every common hub exactly once
+// and in globally ascending hub order.  Tails shorter than a block finish
+// on the sentinel merge.  The lexicographic (dist, hub) minimum makes the
+// answer byte-identical to the scalar kernel: smallest distance, and
+// among ties the smallest hub id.
 //
 // This TU is compiled with -mavx2 only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -63,6 +63,7 @@ HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::si
   // compares are hand-unrolled and OR-reduced as a balanced tree.  (GCC at
   // -O2 compiles the obvious rotate-accumulate loop into a 7-trip loop
   // with a loop-carried OR — ~4x the per-block cost.)
+  const __m256i r0 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i r1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
   const __m256i r2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
   const __m256i r3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
@@ -85,19 +86,26 @@ HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::si
         _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3)),
         _mm256_or_si256(_mm256_or_si256(e4, e5), _mm256_or_si256(e6, e7)));
     auto mask = static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    // Matches are rare (a handful per query), so this branch is a
-    // predictable not-taken; everything else in the loop body is
-    // branch-free.
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      mask &= mask - 1;
-      const Vertex hub = hubs_a[ia + static_cast<std::size_t>(lane)];
-      for (std::size_t j = 0; j < 8; ++j) {  // hubs are unique: first hit wins
-        if (hubs_b[ib + j] == hub) {
-          fold_match(best, hub, dists_a[ia + static_cast<std::size_t>(lane)] + dists_b[ib + j]);
-          break;
-        }
-      }
+    if (mask != 0) {
+      // Lane i of A matched lane (i + k) mod 8 of B under rotation k, and
+      // rotation k's index vector r_k holds exactly (i + k) mod 8 in lane
+      // i.  Hubs are unique per label, so the eight compare masks are
+      // disjoint and OR-ing each r_k under its mask yields B's lane index
+      // for every matched lane of A.
+      const __m256i idx = _mm256_or_si256(
+          _mm256_or_si256(
+              _mm256_or_si256(_mm256_and_si256(e0, r0), _mm256_and_si256(e1, r1)),
+              _mm256_or_si256(_mm256_and_si256(e2, r2), _mm256_and_si256(e3, r3))),
+          _mm256_or_si256(
+              _mm256_or_si256(_mm256_and_si256(e4, r4), _mm256_and_si256(e5, r5)),
+              _mm256_or_si256(_mm256_and_si256(e6, r6), _mm256_and_si256(e7, r7))));
+      alignas(32) std::uint32_t lane_b[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lane_b), idx);
+      do {
+        const auto lane = static_cast<std::size_t>(__builtin_ctz(mask));
+        mask &= mask - 1;
+        fold_match(best, hubs_a[ia + lane], dists_a[ia + lane] + dists_b[ib + lane_b[lane]]);
+      } while (mask != 0);
     }
     // Branchless block advance: whichever side's maximum is not larger
     // steps (both on a tie).  A conditional branch here is data-dependent
@@ -116,10 +124,10 @@ HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t
   HubQueryResult best;
   const __m256i vcur = _mm256_set1_epi32(static_cast<int>(current));
   std::size_t i = 0;
-  // 8 target hubs per step: gather their stamps (the table is L1/L2
-  // resident — the gather hits cache), compare against the group stamp,
-  // resolve the rare hits scalarly.  No data-dependent advance: the scan
-  // is a straight line over the target label.
+  // 8 target hubs per step: gather their stamps (the table is
+  // L1-resident — the gather hits cache), compare against the group
+  // stamp, fold the hits scalarly.  No data-dependent advance: the scan is
+  // a straight line over the target label.
   for (; i + 8 <= size_t_; i += 8) {
     const __m256i vh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hubs_t + i));
     const __m256i vs =

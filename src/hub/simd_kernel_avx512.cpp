@@ -1,9 +1,12 @@
 // AVX-512 tier of the batched query kernel (see simd_kernel.hpp): the
 // same block-intersection walk as the AVX2 TU but over 16-hub blocks,
 // with _mm512_permutexvar_epi32 rotations and compare-to-mask
-// (_mm512_cmpeq_epi32_mask) replacing the movemask dance.  Answers are
-// byte-identical to every other tier — lexicographic (dist, hub) minimum
-// over the common hubs.
+// (_mm512_cmpeq_epi32_mask) replacing the movemask dance.  The matches of
+// a block pair are folded in registers: the sixteen compare masks give
+// every matched A lane its B lane, one permute per 8-lane half lines B's
+// distances up with A's, and a masked minimum reduction picks the block's
+// best (dist, hub).  Answers are byte-identical to every other tier —
+// lexicographic (dist, hub) minimum over the common hubs.
 //
 // This TU is compiled with -mavx512f only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -65,6 +68,7 @@ HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::
   // compares are hand-unrolled and the masks OR-reduced as a balanced
   // tree.  (GCC at -O2 compiles the obvious rotate-accumulate loop into a
   // 15-trip loop with a loop-carried OR — ~4x the per-block cost.)
+  const __m512i r0 = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
   const __m512i r1 = _mm512_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0);
   const __m512i r2 = _mm512_setr_epi32(2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1);
   const __m512i r3 = _mm512_setr_epi32(3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2);
@@ -80,39 +84,73 @@ HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::
   const __m512i r13 = _mm512_setr_epi32(13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12);
   const __m512i r14 = _mm512_setr_epi32(14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13);
   const __m512i r15 = _mm512_setr_epi32(15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14);
+  const __m512i no_match = _mm512_set1_epi64(-1);  // kInfDist in every u64 lane
   while (ia + 16 <= size_a && ib + 16 <= size_b) {
     const __m512i va = _mm512_loadu_si512(hubs_a + ia);
     const __m512i vb = _mm512_loadu_si512(hubs_b + ib);
-    const unsigned e0 = _mm512_cmpeq_epi32_mask(va, vb);
-    const unsigned e1 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r1, vb));
-    const unsigned e2 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r2, vb));
-    const unsigned e3 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r3, vb));
-    const unsigned e4 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r4, vb));
-    const unsigned e5 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r5, vb));
-    const unsigned e6 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r6, vb));
-    const unsigned e7 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r7, vb));
-    const unsigned e8 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r8, vb));
-    const unsigned e9 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r9, vb));
-    const unsigned e10 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r10, vb));
-    const unsigned e11 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r11, vb));
-    const unsigned e12 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r12, vb));
-    const unsigned e13 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r13, vb));
-    const unsigned e14 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r14, vb));
-    const unsigned e15 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r15, vb));
-    unsigned mask = (((e0 | e1) | (e2 | e3)) | ((e4 | e5) | (e6 | e7))) |
-                    (((e8 | e9) | (e10 | e11)) | ((e12 | e13) | (e14 | e15)));
-    // Matches are rare (a handful per query), so this branch is a
-    // predictable not-taken; everything else in the loop body is
-    // branch-free.
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      mask &= mask - 1;
-      const Vertex hub = hubs_a[ia + static_cast<std::size_t>(lane)];
-      for (std::size_t j = 0; j < 16; ++j) {  // hubs are unique: first hit wins
-        if (hubs_b[ib + j] == hub) {
-          fold_match(best, hub, dists_a[ia + static_cast<std::size_t>(lane)] + dists_b[ib + j]);
-          break;
-        }
+    const __mmask16 e0 = _mm512_cmpeq_epi32_mask(va, vb);
+    const __mmask16 e1 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r1, vb));
+    const __mmask16 e2 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r2, vb));
+    const __mmask16 e3 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r3, vb));
+    const __mmask16 e4 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r4, vb));
+    const __mmask16 e5 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r5, vb));
+    const __mmask16 e6 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r6, vb));
+    const __mmask16 e7 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r7, vb));
+    const __mmask16 e8 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r8, vb));
+    const __mmask16 e9 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r9, vb));
+    const __mmask16 e10 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r10, vb));
+    const __mmask16 e11 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r11, vb));
+    const __mmask16 e12 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r12, vb));
+    const __mmask16 e13 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r13, vb));
+    const __mmask16 e14 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r14, vb));
+    const __mmask16 e15 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r15, vb));
+    const unsigned upper = ((e8 | e9) | (e10 | e11)) | ((e12 | e13) | (e14 | e15));
+    const unsigned mask = (((e0 | e1) | (e2 | e3)) | ((e4 | e5) | (e6 | e7))) | upper;
+    if (mask != 0) {
+      // Lane i of A matched lane (i + k) mod 16 of B under rotation k, and
+      // rotation k's index vector r_k holds exactly (i + k) mod 16 in lane
+      // i.  Hubs are unique per label, so the sixteen masks are disjoint
+      // and mask_mov assembles the per-lane B index in two independent
+      // chains (rotations 0-7 and 8-15) joined by one final move.
+      __m512i lo = _mm512_mask_mov_epi32(r0, e1, r1);
+      lo = _mm512_mask_mov_epi32(lo, e2, r2);
+      lo = _mm512_mask_mov_epi32(lo, e3, r3);
+      lo = _mm512_mask_mov_epi32(lo, e4, r4);
+      lo = _mm512_mask_mov_epi32(lo, e5, r5);
+      lo = _mm512_mask_mov_epi32(lo, e6, r6);
+      lo = _mm512_mask_mov_epi32(lo, e7, r7);
+      __m512i hi = _mm512_mask_mov_epi32(r8, e9, r9);
+      hi = _mm512_mask_mov_epi32(hi, e10, r10);
+      hi = _mm512_mask_mov_epi32(hi, e11, r11);
+      hi = _mm512_mask_mov_epi32(hi, e12, r12);
+      hi = _mm512_mask_mov_epi32(hi, e13, r13);
+      hi = _mm512_mask_mov_epi32(hi, e14, r14);
+      hi = _mm512_mask_mov_epi32(hi, e15, r15);
+      const __m512i idx = _mm512_mask_mov_epi32(lo, static_cast<__mmask16>(upper), hi);
+      // Widen the index to u64 lanes, gather B's matched distances with
+      // one two-source permute per 8-lane half, and add A's distances.
+      const __m512i idx0 = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(idx));
+      const __m512i idx1 = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(idx, 1));
+      const __m512i db0 = _mm512_loadu_si512(dists_b + ib);
+      const __m512i db1 = _mm512_loadu_si512(dists_b + ib + 8);
+      const __m512i sum0 = _mm512_add_epi64(_mm512_loadu_si512(dists_a + ia),
+                                            _mm512_permutex2var_epi64(db0, idx0, db1));
+      const __m512i sum1 = _mm512_add_epi64(_mm512_loadu_si512(dists_a + ia + 8),
+                                            _mm512_permutex2var_epi64(db0, idx1, db1));
+      const auto m0 = static_cast<__mmask8>(mask);
+      const auto m1 = static_cast<__mmask8>(mask >> 8);
+      const Dist d = _mm512_reduce_min_epu64(_mm512_min_epu64(
+          _mm512_mask_mov_epi64(no_match, m0, sum0), _mm512_mask_mov_epi64(no_match, m1, sum1)));
+      // Blocks visit the common hubs in ascending order (see the advance
+      // below), so strict < is the scalar merge's update rule; within the
+      // block the lowest matched lane at the minimum is the smallest hub.
+      if (d < best.dist) {
+        const __m512i vd = _mm512_set1_epi64(static_cast<long long>(d));
+        const unsigned at0 = _mm512_mask_cmpeq_epu64_mask(m0, sum0, vd);
+        const unsigned at1 = _mm512_mask_cmpeq_epu64_mask(m1, sum1, vd);
+        const unsigned at = at0 | (at1 << 8);
+        best.dist = d;
+        best.meeting_hub = hubs_a[ia + static_cast<std::size_t>(__builtin_ctz(at))];
       }
     }
     // Branchless block advance: whichever side's maximum is not larger
@@ -133,10 +171,10 @@ HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size
   HubQueryResult best;
   const __m512i vcur = _mm512_set1_epi32(static_cast<int>(current));
   std::size_t i = 0;
-  // 16 target hubs per step: gather their stamps (the table is L1/L2
-  // resident — the gather hits cache), compare against the group stamp,
-  // resolve the rare hits scalarly.  No data-dependent advance: the scan
-  // is a straight line over the target label.
+  // 16 target hubs per step: gather their stamps (the table is
+  // L1-resident — the gather hits cache), compare against the group
+  // stamp, fold the hits scalarly.  No data-dependent advance: the scan is
+  // a straight line over the target label.
   for (; i + 16 <= size_t_; i += 16) {
     const __m512i vh = _mm512_loadu_si512(hubs_t + i);
     const __m512i vs = _mm512_i32gather_epi32(vh, stamp, sizeof(std::uint32_t));

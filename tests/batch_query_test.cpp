@@ -20,8 +20,10 @@
 namespace hublab {
 namespace {
 
-/// Block sizes straddling the stamp-table threshold (32): 1 and 7 take the
-/// per-pair merge-kernel path, 64 and 4096 the stamp-table probe path.
+/// Block sizes straddling the stamp-table threshold (32 pairs): 1 and 7
+/// always take the per-pair merge-kernel path; 64 and 4096 take the
+/// stamp-table probe path on graphs with n <= 2730 (tables within 32 KiB)
+/// and the merge path on larger graphs.
 constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
 
 /// The batched-query contract: for every host-reachable ISA tier and every
@@ -84,6 +86,164 @@ TEST(BatchQuery, ByteIdenticalOnWeightedRoadGraph) {
   // different weighted paths exercise the lexicographic (dist, hub) rule.
   Rng rng(31);
   expect_batch_identity(gen::road_like(6, 6, 0.2, 9, rng));
+}
+
+TEST(BatchQuery, ByteIdenticalOnMergePathAboveStampBound) {
+  // n = 3600 > 2730: the stamp tables would not fit in L1, so blocks of
+  // 64 and 4096 pairs also take the merge kernel (with the next-pair
+  // prefetch), over weighted labels longer than one 16-hub SIMD block.
+  Rng rng(37);
+  const Graph g = gen::road_like(60, 60, 0.2, 9, rng);
+  ASSERT_GT(g.num_vertices(), 2730u);
+  expect_batch_identity(g);
+}
+
+/// Sentinel-terminated label columns, as FlatHubLabeling lays them out.
+struct Columns {
+  std::vector<Vertex> hubs;
+  std::vector<Dist> dists;
+
+  Columns(std::vector<Vertex> h, std::vector<Dist> d) : hubs(std::move(h)), dists(std::move(d)) {
+    hubs.push_back(kInvalidVertex);
+    dists.push_back(kInfDist);
+  }
+  [[nodiscard]] std::size_t size() const { return hubs.size() - 1; }
+};
+
+/// The lexicographic (dist, hub) minimum over the common hubs, by brute
+/// force: the smallest hub among those tied at the minimal distance sum.
+HubQueryResult brute_force_min(const Columns& a, const Columns& b) {
+  HubQueryResult best;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (a.hubs[i] != b.hubs[j]) continue;
+      const Dist d = a.dists[i] + b.dists[j];
+      if (d < best.dist || (d == best.dist && a.hubs[i] < best.meeting_hub)) {
+        best.dist = d;
+        best.meeting_hub = a.hubs[i];
+      }
+    }
+  }
+  return best;
+}
+
+/// Every tier's simd::intersect agrees with the expected answer, in both
+/// argument orders.
+void expect_kernel_answer(const Columns& a, const Columns& b, const HubQueryResult& expected) {
+  const HubQueryResult brute = brute_force_min(a, b);
+  ASSERT_EQ(brute.dist, expected.dist);
+  ASSERT_EQ(brute.meeting_hub, expected.meeting_hub);
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    const HubQueryResult ab = simd::intersect(tier, a.hubs.data(), a.dists.data(), a.size(),
+                                              b.hubs.data(), b.dists.data(), b.size());
+    const HubQueryResult ba = simd::intersect(tier, b.hubs.data(), b.dists.data(), b.size(),
+                                              a.hubs.data(), a.dists.data(), a.size());
+    EXPECT_EQ(ab.dist, expected.dist) << "tier=" << simd::tier_name(tier);
+    EXPECT_EQ(ab.meeting_hub, expected.meeting_hub) << "tier=" << simd::tier_name(tier);
+    EXPECT_EQ(ba.dist, expected.dist) << "tier=" << simd::tier_name(tier) << " (swapped)";
+    EXPECT_EQ(ba.meeting_hub, expected.meeting_hub) << "tier=" << simd::tier_name(tier)
+                                                    << " (swapped)";
+  }
+}
+
+/// Hubs 0, step, 2 * step, ... (count of them), all at distance `base`.
+Columns strided(std::size_t count, Vertex step, Dist base) {
+  std::vector<Vertex> hubs(count);
+  for (std::size_t i = 0; i < count; ++i) hubs[i] = static_cast<Vertex>(i) * step;
+  return {std::move(hubs), std::vector<Dist>(count, base)};
+}
+
+TEST(BatchQuery, KernelFoldsEverySharedHubToSmallestTiedHub) {
+  // 3 full 16-hub blocks plus a 5-hub tail, every hub shared, so every
+  // lane of every block pair matches (at rotation 0).
+  constexpr std::size_t kSize = 3 * 16 + 5;
+  {
+    // Equal minimal sums at lanes 4 and 12 of block 1 (one in each 8-lane
+    // half) and at lane 3 of block 2: the smallest tied hub is 20.
+    Columns a = strided(kSize, 1, 10);
+    Columns b = strided(kSize, 1, 10);
+    a.dists[20] = 1;
+    b.dists[20] = 4;
+    a.dists[28] = 3;
+    b.dists[28] = 2;
+    a.dists[35] = 0;
+    b.dists[35] = 5;
+    expect_kernel_answer(a, b, HubQueryResult{5, 20});
+  }
+  {
+    // Ties only in the upper half of block 0 (lanes 9 and 14), plus a tie
+    // at the first tail entry: hub 9.
+    Columns a = strided(kSize, 1, 10);
+    Columns b = strided(kSize, 1, 10);
+    a.dists[9] = 2;
+    b.dists[9] = 2;
+    a.dists[14] = 4;
+    b.dists[14] = 0;
+    a.dists[48] = 1;
+    b.dists[48] = 3;
+    expect_kernel_answer(a, b, HubQueryResult{4, 9});
+  }
+  {
+    // Hub 50 in the tail has a strictly smaller sum than the ties in
+    // block 0 (hubs 2 and 13) and than hub 47 in block 2.
+    Columns a = strided(kSize, 1, 10);
+    Columns b = strided(kSize, 1, 10);
+    a.dists[2] = 3;
+    b.dists[2] = 3;
+    a.dists[13] = 3;
+    b.dists[13] = 3;
+    a.dists[47] = 1;
+    b.dists[47] = 4;
+    a.dists[50] = 2;
+    b.dists[50] = 2;
+    expect_kernel_answer(a, b, HubQueryResult{4, 50});
+  }
+  // Every sum tied: the very first hub.
+  expect_kernel_answer(strided(kSize, 1, 7), strided(kSize, 1, 7), HubQueryResult{14, 0});
+}
+
+TEST(BatchQuery, KernelFoldsRotatedMatchesToSmallestTiedHub) {
+  // Multiples of 2 against multiples of 3: the common hubs (multiples of
+  // 6) match at every rotation offset, in blocks of both columns.
+  Columns a = strided(4 * 16 + 3, 3, 5);
+  Columns b = strided(6 * 16 + 1, 2, 5);
+  // Ties across blocks: hubs 18 (A block 0 / B block 0), 72 (A block 1 /
+  // B block 2) and 192 (the last common hub, in both tails) share the
+  // minimal sum.
+  a.dists[18 / 3] = 1;
+  b.dists[18 / 2] = 1;
+  a.dists[72 / 3] = 0;
+  b.dists[72 / 2] = 2;
+  a.dists[192 / 3] = 2;
+  b.dists[192 / 2] = 0;
+  expect_kernel_answer(a, b, HubQueryResult{2, 18});
+  // Without the first tie, the next tied hub in a later block wins.
+  a.dists[18 / 3] = 5;
+  expect_kernel_answer(a, b, HubQueryResult{2, 72});
+}
+
+TEST(BatchQuery, KernelMatchesBruteForceOnRandomColumns) {
+  // Random sorted hub sets over a small universe (dense overlap) with
+  // distances in [0, 3] (dense ties), lengths straddling the 8- and
+  // 16-lane block sizes.
+  Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto make = [&rng] {
+      std::vector<Vertex> hubs;
+      std::vector<Dist> dists;
+      const std::uint64_t keep = 1 + rng.next_below(4);  // keep each hub with p = keep / 4
+      for (Vertex h = 0; h < 160; ++h) {
+        if (rng.next_below(4) < keep) {
+          hubs.push_back(h);
+          dists.push_back(rng.next_below(4));
+        }
+      }
+      return Columns(std::move(hubs), std::move(dists));
+    };
+    const Columns a = make();
+    const Columns b = make();
+    expect_kernel_answer(a, b, brute_force_min(a, b));
+  }
 }
 
 TEST(BatchQuery, OracleBatchEntryPointsAgree) {
