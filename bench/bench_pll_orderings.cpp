@@ -8,6 +8,7 @@
 /// (no signal -- everything is similar), the adversarial gadget (nothing
 /// helps, by Theorem 2.1).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -156,6 +157,64 @@ int main(int argc, char** argv) {
               bp_ok ? "identical" : "DIFFER", static_cast<long long>(pct), kernel_n,
               kernel_roots);
 
+  // Construction thread scaling: the same build at 1 and 4 threads.  At 4
+  // threads the pruned searches run in parallel root batches, which must
+  // reproduce the 1-thread labels byte for byte.  Two families: a
+  // weighted road grid under betweenness order (pruned Dijkstra for every
+  // rank) and the 3-regular kernel graph above (bit-parallel tables, then
+  // pruned BFS).  pract.pll_build_pct_of_1thread.<family> records the best
+  // 4-thread build time as a percent of the best 1-thread time (lower is
+  // better; 25 would be linear scaling).
+  bool scaling_ok = true;
+  {
+    auto span = harness.phase("threads-scaling");
+    struct Case {
+      const char* family;
+      Graph graph;
+      std::vector<Vertex> order;
+      std::size_t bp_roots;
+    };
+    std::vector<Case> cases;
+    {
+      Rng rng(6);
+      const std::size_t side = harness.smoke() ? 64 : 100;
+      Graph road = gen::road_like(side, side, 0.2, 10, rng);
+      Rng bt_rng(7);
+      std::vector<Vertex> order = betweenness_order(road, 64, bt_rng);
+      harness.add_graph("road-like (threads)", road.num_vertices(), road.num_edges());
+      cases.push_back({"road", std::move(road), std::move(order), kPllDefaultBpRoots});
+    }
+    {
+      Rng rng(5);
+      Graph regular = gen::random_regular(kernel_n, 3, rng);
+      std::vector<Vertex> order = make_vertex_order(regular, VertexOrder::kDegreeDescending);
+      cases.push_back({"regular3", std::move(regular), std::move(order), kernel_roots});
+    }
+    const std::size_t reps = 5;
+    const std::size_t threads[2] = {1, 4};
+    for (const Case& c : cases) {
+      double best[2] = {0.0, 0.0};
+      HubLabeling labels[2];
+      for (std::size_t r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < 2; ++i) {
+          Timer t;
+          labels[i] = pruned_landmark_labeling(c.graph, c.order, PllConfig{c.bp_roots, threads[i]});
+          const double s = t.elapsed_s();
+          best[i] = r == 0 ? s : std::min(best[i], s);
+        }
+      }
+      const bool same = same_labels(labels[0], labels[1]);
+      scaling_ok = scaling_ok && same;
+      const auto pct =
+          static_cast<std::int64_t>(std::llround(best[0] > 0.0 ? 100.0 * best[1] / best[0] : 100.0));
+      metrics::registry().gauge("pract.pll_build_pct_of_1thread." + std::string(c.family)).set(pct);
+      std::printf("threads-scaling/%s: n=%zu, 1 thread %.1f ms, 4 threads %.1f ms (%lld%%), "
+                  "labels %s\n",
+                  c.family, c.graph.num_vertices(), best[0] * 1e3, best[1] * 1e3,
+                  static_cast<long long>(pct), same ? "identical" : "DIFFER");
+    }
+  }
+
   std::printf("\nNote the gadget row: per Theorem 2.1 no ordering can make its labels small.\n");
-  return harness.finish("PLL ordering ablation", bp_ok);
+  return harness.finish("PLL ordering ablation", bp_ok && scaling_ok);
 }

@@ -1,6 +1,7 @@
 #include "hub/pll.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "util/metrics.hpp"
@@ -265,9 +266,58 @@ class LabelArena {
   std::vector<std::uint8_t> first_cap_;
 };
 
-/// Frontier prune decisions, encoded so the sequential commit loop can
-/// batch the per-kind counters without atomics in the parallel scan.
+/// Cover-test outcomes, kept apart so the per-kind prune counters can be
+/// reported.
 enum class Prune : std::uint8_t { kNone = 0, kBpDist, kBpMask, kLabel };
+
+/// A vertex a root's pruned search reached without pruning, at its exact
+/// distance from the root: a label entry of that root unless the clean
+/// step finds an earlier root of the same batch on a shortest path.
+struct Candidate {
+  Vertex v;
+  Dist dist;
+};
+
+/// One root's search result within a batch.  Each root owns its slot, so
+/// the searches and the clean step write disjoint memory, and the commit
+/// reads the slots in rank order whatever executor filled them.
+struct RootSlot {
+  /// Empty the slot for a new root, keeping at least `capacity` entries.
+  void reset(std::size_t capacity) {
+    candidates.clear();
+    candidates.reserve(capacity);
+    visited = pruned = bp_dist_prunes = bp_mask_prunes = peak_frontier = cleaned = 0;
+  }
+
+  std::vector<Candidate> candidates;
+  std::uint64_t visited = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t bp_dist_prunes = 0;
+  std::uint64_t bp_mask_prunes = 0;
+  std::uint64_t peak_frontier = 0;
+  std::uint64_t cleaned = 0;
+};
+
+/// Per-executor search state, reused across the roots that executor runs.
+struct SearchScratch {
+  explicit SearchScratch(std::size_t n) : dist(n, kInfDist), root_dist(n, kInfDist) {}
+
+  std::vector<Dist> dist;       ///< tentative distances of the current search
+  std::vector<Dist> root_dist;  ///< rank-indexed distances of the current root
+  std::vector<std::uint32_t> bp_root_dist;  ///< current root's table column
+  std::vector<std::uint64_t> bp_root_sm1;   ///< current root's S_{-1} column
+  std::vector<Vertex> frontier;
+  std::vector<Vertex> next;
+  std::vector<Vertex> touched;
+  std::vector<std::pair<Dist, Vertex>> heap;
+};
+
+/// A batch candidate as the clean step looks it up by vertex: the root's
+/// position within the batch and the distance.
+struct BatchEntry {
+  std::uint32_t slot;
+  Dist dist;
+};
 
 class PllBuilder {
  public:
@@ -276,9 +326,7 @@ class PllBuilder {
         order_(order),
         threads_(par::resolve_threads(config.threads)),
         bp_(g, order, config.bp_roots, threads_),
-        arena_(g),
-        root_dist_(g.num_vertices(), kInfDist),
-        dist_(g.num_vertices(), kInfDist) {
+        arena_(g) {
     HUBLAB_ASSERT_MSG(order.size() == g.num_vertices(), "order must be a permutation");
     // Ranks are stored as 32-bit values next to the kInvalidVertex
     // sentinel, and the rank loop compares a size_t bound, so the vertex
@@ -292,18 +340,20 @@ class PllBuilder {
 
   HubLabeling run() {
     build_labels();
-    // Single pass: rank-keyed arena entries to vertex-keyed public labels,
-    // each row exactly reserved; finalize() sorts rows by hub id.
+    // Rank-keyed arena entries to hub-sorted public rows.  The rows are
+    // allocated here, on the calling thread (a row allocated in a pool
+    // worker would return to that worker's malloc arena when freed); the
+    // pool only fills and sorts them, and rows are disjoint.  Sorted rows
+    // take finalize()'s no-sort path.
     const std::size_t n = g_.num_vertices();
+    const std::vector<std::size_t> sizes = record_label_sizes();
     std::vector<std::vector<HubEntry>> labels(n);
-    metrics::Histogram& label_sizes = metrics::registry().histogram("pll.label_size");
-    for (Vertex v = 0; v < n; ++v) {
-      std::vector<HubEntry>& label = labels[v];
-      label.reserve(arena_.size(v));
-      arena_.for_each(v,
-                      [&](const RankEntry& e) { label.push_back(HubEntry{order_[e.rank], e.dist}); });
-      label_sizes.record(label.size());
-    }
+    for (Vertex v = 0; v < n; ++v) labels[v].resize(sizes[v]);
+    par::parallel_for(0, n, threads_, [&](const par::ChunkRange& chunk) {
+      for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
+        fill_sorted_row(static_cast<Vertex>(v), labels[v].data());
+      }
+    });
     HubLabeling out(std::move(labels));
     out.finalize();
     return out;
@@ -311,65 +361,114 @@ class PllBuilder {
 
   FlatHubLabeling run_flat() {
     build_labels();
-    // Single pass straight into the SoA layout: per row, map ranks to hub
-    // ids, sort by hub (ranks are unique, so rows have no duplicates) and
-    // append with the sentinel.  Matches FlatHubLabeling(HubLabeling) on
-    // the finalized labeling bit for bit.
+    // Straight into the SoA layout: row offsets from a prefix sum of the
+    // label sizes (plus one sentinel per row), then each row mapped to hub
+    // ids, hub-sorted and written on the pool.  Matches
+    // FlatHubLabeling(HubLabeling) on the finalized labeling bit for bit.
     const std::size_t n = g_.num_vertices();
-    metrics::Histogram& label_sizes = metrics::registry().histogram("pll.label_size");
-    std::size_t slots = n;  // one sentinel per label
-    for (Vertex v = 0; v < n; ++v) slots += arena_.size(v);
-    std::vector<std::size_t> offsets;
-    std::vector<Vertex> hubs;
-    std::vector<Dist> dists;
-    offsets.reserve(n + 1);
-    hubs.reserve(slots);
-    dists.reserve(slots);
-    std::vector<HubEntry> row;
-    for (Vertex v = 0; v < n; ++v) {
-      offsets.push_back(hubs.size());
-      row.clear();
-      arena_.for_each(v,
-                      [&](const RankEntry& e) { row.push_back(HubEntry{order_[e.rank], e.dist}); });
-      label_sizes.record(row.size());
-      std::sort(row.begin(), row.end(),
-                [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
-      for (const HubEntry& e : row) {
-        hubs.push_back(e.hub);
-        dists.push_back(e.dist);
+    const std::vector<std::size_t> sizes = record_label_sizes();
+    std::vector<std::size_t> offsets(n + 1, 0);
+    for (Vertex v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + sizes[v] + 1;
+    std::vector<Vertex> hubs(offsets[n]);
+    std::vector<Dist> dists(offsets[n]);
+    par::parallel_for(0, n, threads_, [&](const par::ChunkRange& chunk) {
+      std::vector<HubEntry> row;
+      for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
+        row.resize(sizes[v]);
+        fill_sorted_row(static_cast<Vertex>(v), row.data());
+        std::size_t at = offsets[v];
+        for (const HubEntry& e : row) {
+          hubs[at] = e.hub;
+          dists[at] = e.dist;
+          ++at;
+        }
+        hubs[at] = kInvalidVertex;
+        dists[at] = kInfDist;
       }
-      hubs.push_back(kInvalidVertex);
-      dists.push_back(kInfDist);
-    }
-    offsets.push_back(hubs.size());
+    });
     return FlatHubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
   }
 
  private:
-  /// Run the per-rank pruned searches.  The searches share every piece of
-  /// scratch state (frontier buffers, the Dijkstra heap, touched lists),
-  /// so per-root work allocates nothing after warm-up.
+  /// Largest batch of roots searched against the same arena state.
+  static constexpr std::size_t kMaxBatch = 64;
+
+  /// Per-vertex label sizes, recorded into the pll.label_size histogram.
+  [[nodiscard]] std::vector<std::size_t> record_label_sizes() const {
+    const std::size_t n = g_.num_vertices();
+    metrics::Histogram& hist = metrics::registry().histogram("pll.label_size");
+    std::vector<std::size_t> sizes(n);
+    for (Vertex v = 0; v < n; ++v) {
+      sizes[v] = arena_.size(v);
+      hist.record(sizes[v]);
+    }
+    return sizes;
+  }
+
+  /// Write v's label into row[0, size(v)) as hub ids, sorted by hub (ranks
+  /// are unique, so a row has no duplicate hubs).
+  void fill_sorted_row(Vertex v, HubEntry* row) const {
+    std::size_t i = 0;
+    arena_.for_each(v, [&](const RankEntry& e) { row[i++] = HubEntry{order_[e.rank], e.dist}; });
+    std::sort(row, row + i, [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
+  }
+
+  /// The pruned searches, as one loop over root batches [s, e): search
+  /// every root of the batch against the arena as it stands (ranks < s),
+  /// clean the candidates only ranks in [s, e) could cover, commit the
+  /// survivors in rank order (docs/performance.md, "Parallel root
+  /// batches").  A batch of one root is the classic sequential builder;
+  /// batches grow only when they can run concurrently.
   void build_labels() {
-    const bool weighted = g_.is_weighted();
+    const std::size_t n = g_.num_vertices();
     const std::size_t num_ranks = order_.size();
-    std::size_t start_rank = 0;
+    std::size_t s = 0;
     if (bp_.active()) {
       synthesize_table_ranks();
       for (std::size_t i = 0; i < bp_.num_roots(); ++i) {
         frontier_sizes_.record(bp_.peak_frontier(i));
       }
       snapshot_cursors();
-      start_rank = bp_.num_roots();
+      s = bp_.num_roots();
     }
-    for (std::size_t k = start_rank; k < num_ranks; ++k) {
-      peak_frontier_ = 0;
-      if (weighted) {
-        pruned_dijkstra(k);
-      } else {
-        pruned_bfs(k);
+    const bool batched = threads_ > 1 && !par::in_parallel_region();
+    // The batch buffers are allocated and reserved here, on the calling
+    // thread, and reused across batches: a buffer grown in a pool worker
+    // would stay in that worker's malloc arena after it is freed.
+    std::vector<SearchScratch> scratch;
+    const std::size_t executors = batched ? threads_ : 1;
+    scratch.reserve(executors);
+    for (std::size_t i = 0; i < executors; ++i) scratch.emplace_back(n);
+    slots_.resize(batched ? kMaxBatch : 1);
+    if (batched) {
+      csr_count_.assign(n, 0);
+      csr_start_.resize(n);
+    }
+    std::size_t batch = 1;
+    std::uint64_t per_root = n;  // candidates per root of the previous batch
+    while (s < num_ranks) {
+      const std::size_t e = std::min(num_ranks, s + batch);
+      for (std::size_t j = 0; j < e - s; ++j) {
+        slots_[j].reset(std::min<std::uint64_t>(n, 2 * per_root + 16));
       }
-      frontier_sizes_.record(peak_frontier_);
+      search_batch(s, e, scratch);
+      std::uint64_t candidates = 0;
+      for (std::size_t j = 0; j < e - s; ++j) candidates += slots_[j].candidates.size();
+      if (e - s > 1) clean_batch(s, e);
+      commit_batch(s, e);
+      // The schedule depends on n and on the work of the previous batch,
+      // never on the thread count, so every count >= 2 searches the same
+      // batches.  About 2n candidates per batch bounds the slot memory:
+      // large early searches get small batches, short late ones large.
+      per_root = std::max<std::uint64_t>(1, candidates / (e - s));
+      if (batched) batch = std::clamp<std::uint64_t>(2 * n / per_root, 1, kMaxBatch);
+      s = e;
     }
+    slots_ = {};
+    csr_count_ = {};
+    csr_start_ = {};
+    csr_entries_ = {};
+    csr_touched_ = {};
     metrics::Registry& reg = metrics::registry();
     reg.sketch("pll.frontier_size").merge(frontier_sizes_);
     reg.counter("pll.visited").add(c_visited_);
@@ -377,6 +476,7 @@ class PllBuilder {
     reg.counter("pll.label_pushes").add(c_pushes_);
     reg.counter("pll.bp_dist_prunes").add(c_bp_dist_prunes_);
     reg.counter("pll.bp_mask_prunes").add(c_bp_mask_prunes_);
+    if (batched) reg.counter("pll.cleaned").add(c_cleaned_);
   }
 
   /// Emit the labels of every table rank without running a pruned search.
@@ -431,12 +531,133 @@ class PllBuilder {
     for (Vertex v = 0; v < n; ++v) cursors_[v] = arena_.cursor(v);
   }
 
-  /// Covered test for u at candidate distance d from the current root
-  /// (rank k): true exactly when some hub of rank < k answers (u, root)
+  /// Run the pruned search of every root in [s, e), each into its own
+  /// slot.  On the pool, executors take one root per atomic ticket; the
+  /// arena is read-only until the commit, so each search sees ranks < s
+  /// whichever executor runs it and whenever.
+  void search_batch(std::size_t s, std::size_t e, std::vector<SearchScratch>& scratch) {
+    const std::size_t roots = e - s;
+    const auto search = [&](std::size_t j, SearchScratch& sc) {
+      if (g_.is_weighted()) {
+        pruned_dijkstra(s + j, sc, slots_[j]);
+      } else {
+        pruned_bfs(s + j, s, sc, slots_[j]);
+      }
+    };
+    if (roots == 1) {
+      search(0, scratch.front());
+      return;
+    }
+    std::atomic<std::size_t> ticket{0};
+    const std::size_t executors = std::min(scratch.size(), roots);
+    par::run_chunks(par::static_chunks(0, executors, executors), executors,
+                    [&](const par::ChunkRange& chunk) {
+                      SearchScratch& sc = scratch[chunk.index];
+                      for (;;) {
+                        const std::size_t j = ticket.fetch_add(1, std::memory_order_relaxed);
+                        if (j >= roots) break;
+                        search(j, sc);
+                      }
+                    });
+  }
+
+  /// Drop candidate (u, r_k, d) exactly when some root r_i of the batch
+  /// with i < k has candidates (u, a) and (r_k, b) with a + b <= d: the
+  /// canonical cover test, restricted to the ranks the searches could not
+  /// see.  The candidates are grouped by vertex first (a CSR over the
+  /// vertices the batch touched, each group in rank order); the test is
+  /// then read-only and runs on the pool, one root per ticket.
+  void clean_batch(std::size_t s, std::size_t e) {
+    const std::size_t roots = e - s;
+    csr_touched_.clear();
+    for (std::size_t j = 0; j < roots; ++j) {
+      for (const Candidate& c : slots_[j].candidates) {
+        if (csr_count_[c.v]++ == 0) csr_touched_.push_back(c.v);
+      }
+    }
+    std::size_t total = 0;
+    for (const Vertex u : csr_touched_) {
+      csr_start_[u] = total;
+      total += csr_count_[u];
+      csr_count_[u] = 0;
+    }
+    csr_entries_.resize(total);
+    for (std::size_t j = 0; j < roots; ++j) {
+      for (const Candidate& c : slots_[j].candidates) {
+        csr_entries_[csr_start_[c.v] + csr_count_[c.v]++] =
+            BatchEntry{static_cast<std::uint32_t>(j), c.dist};
+      }
+    }
+    // The first root of a batch has nothing to clean.
+    par::run_chunks(par::static_chunks(1, roots, roots - 1), threads_,
+                    [&](const par::ChunkRange& chunk) { clean_root(s, chunk.begin); });
+    for (const Vertex u : csr_touched_) csr_count_[u] = 0;
+  }
+
+  void clean_root(std::size_t s, std::size_t j) {
+    RootSlot& slot = slots_[j];
+    const Vertex root = order_[s + j];
+    // The root reaches itself, so its group is never empty.
+    const std::size_t root_begin = csr_start_[root];
+    const std::size_t root_end = root_begin + csr_count_[root];
+    std::size_t kept = 0;
+    for (const Candidate& c : slot.candidates) {
+      // Both groups are in slot order; merge them over slots below j.
+      bool covered = false;
+      std::size_t a = csr_start_[c.v];
+      const std::size_t a_end = a + csr_count_[c.v];
+      std::size_t b = root_begin;
+      while (a < a_end && b < root_end && csr_entries_[a].slot < j && csr_entries_[b].slot < j) {
+        const BatchEntry& ea = csr_entries_[a];
+        const BatchEntry& eb = csr_entries_[b];
+        if (ea.slot < eb.slot) {
+          ++a;
+        } else if (ea.slot > eb.slot) {
+          ++b;
+        } else {
+          if (ea.dist + eb.dist <= c.dist) {
+            covered = true;
+            break;
+          }
+          ++a;
+          ++b;
+        }
+      }
+      if (covered) {
+        ++slot.cleaned;
+      } else {
+        slot.candidates[kept++] = c;
+      }
+    }
+    slot.candidates.resize(kept);
+  }
+
+  /// Push the survivors of [s, e) into the arena in rank order, so every
+  /// vertex's entries stay sorted by rank, and fold the per-root counters
+  /// in the same order.
+  void commit_batch(std::size_t s, std::size_t e) {
+    for (std::size_t j = 0; j < e - s; ++j) {
+      const RootSlot& slot = slots_[j];
+      const auto rank = static_cast<Vertex>(s + j);
+      for (const Candidate& c : slot.candidates) arena_.push(c.v, RankEntry{rank, c.dist});
+      c_pushes_ += slot.candidates.size();
+      c_visited_ += slot.visited;
+      c_pruned_ += slot.pruned;
+      c_bp_dist_prunes_ += slot.bp_dist_prunes;
+      c_bp_mask_prunes_ += slot.bp_mask_prunes;
+      c_cleaned_ += slot.cleaned;
+      frontier_sizes_.record(slot.peak_frontier);
+    }
+  }
+
+  /// Covered test for u at candidate distance d from the current root:
+  /// true exactly when some hub already in the arena answers (u, root)
   /// within d.  Consults the bit-parallel tables first; `scan_labels`
-  /// callers guarantee root_dist_ holds the root's label (ranks >=
+  /// callers guarantee sc.root_dist holds the root's label (ranks >=
   /// bp_.num_roots() suffice — lower ranks are the tables' job).
-  [[nodiscard]] Prune covered_by(Vertex u, Dist d, std::size_t bp_limit, bool scan_labels) const {
+  [[nodiscard]] Prune covered_by(Vertex u, Dist d, const SearchScratch& sc,
+                                 bool scan_labels) const {
+    const std::size_t bp_limit = sc.bp_root_dist.size();
     if (bp_limit > 0) {
       // Branchless minimum over the table columns: unreachable rows hold
       // kUnreachable, so their sums stay above any finite candidate and
@@ -445,7 +666,7 @@ class PllBuilder {
       const std::uint16_t* du = bp_.dist_row(u);
       std::uint32_t best = 0xFFFFFFFFu;
       for (std::size_t i = 0; i < bp_limit; ++i) {
-        best = std::min(best, du[i] + bp_root_dist_[i]);
+        best = std::min(best, du[i] + sc.bp_root_dist[i]);
       }
       // best is the exact distance through the best table root — the same
       // candidate the scalar pruning minimum contains.
@@ -459,7 +680,7 @@ class PllBuilder {
         // docs/performance.md), so the scalar builder prunes here too.
         const std::uint64_t* mu = bp_.sm1_row(u);
         for (std::size_t i = 0; i < bp_limit; ++i) {
-          if (du[i] + bp_root_dist_[i] == best && (mu[i] & bp_root_sm1_[i]) != 0) {
+          if (du[i] + sc.bp_root_dist[i] == best && (mu[i] & sc.bp_root_sm1[i]) != 0) {
             return Prune::kBpMask;
           }
         }
@@ -468,7 +689,7 @@ class PllBuilder {
     if (scan_labels) {
       const LabelArena::Cursor from = cursors_.empty() ? LabelArena::Cursor{} : cursors_[u];
       const bool hit = arena_.scan_from(u, from, [&](const RankEntry& e) {
-        const Dist rd = root_dist_[e.rank];
+        const Dist rd = sc.root_dist[e.rank];
         return rd != kInfDist && e.dist + rd <= d;
       });
       if (hit) return Prune::kLabel;
@@ -476,160 +697,127 @@ class PllBuilder {
     return Prune::kNone;
   }
 
-  /// Fill prune_flags_[0..frontier_.size()) with the per-vertex decision.
-  /// The scan is read-only (labels mutate only in the commit loop), so
-  /// fanning it out over static chunks cannot change any flag — the
-  /// labeling stays bit-identical for every thread count.
-  void decide_prunes(Dist level, std::size_t bp_limit, bool scan_labels) {
-    prune_flags_.resize(frontier_.size());
-    if (threads_ > 1 && frontier_.size() >= kParallelFrontierMin && !par::in_parallel_region()) {
-      par::parallel_for(0, frontier_.size(), threads_, [&](const par::ChunkRange& chunk) {
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          prune_flags_[i] = covered_by(frontier_[i], level, bp_limit, scan_labels);
-        }
-      });
-    } else {
-      for (std::size_t i = 0; i < frontier_.size(); ++i) {
-        prune_flags_[i] = covered_by(frontier_[i], level, bp_limit, scan_labels);
-      }
-    }
-  }
-
-  void count_prune(Prune kind) {
-    ++c_pruned_;
+  static void count_prune(Prune kind, RootSlot& slot) {
+    ++slot.pruned;
     if (kind == Prune::kBpDist) {
-      ++c_bp_dist_prunes_;
+      ++slot.bp_dist_prunes;
     } else if (kind == Prune::kBpMask) {
-      ++c_bp_mask_prunes_;
+      ++slot.bp_mask_prunes;
     }
   }
 
-  void scatter_root_label(Vertex root, std::size_t min_rank) {
+  void scatter_root_label(Vertex root, std::size_t min_rank, std::vector<Dist>& root_dist) const {
     arena_.for_each(root, [&](const RankEntry& e) {
-      if (e.rank >= min_rank) root_dist_[e.rank] = e.dist;
+      if (e.rank >= min_rank) root_dist[e.rank] = e.dist;
     });
   }
 
-  void clear_root_label(Vertex root, std::size_t min_rank) {
+  void clear_root_label(Vertex root, std::size_t min_rank, std::vector<Dist>& root_dist) const {
     arena_.for_each(root, [&](const RankEntry& e) {
-      if (e.rank >= min_rank) root_dist_[e.rank] = kInfDist;
+      if (e.rank >= min_rank) root_dist[e.rank] = kInfDist;
     });
   }
 
-  void pruned_bfs(std::size_t k) {
+  /// Pruned BFS from rank k against the arena's ranks < s.
+  void pruned_bfs(std::size_t k, std::size_t s, SearchScratch& sc, RootSlot& slot) const {
     const Vertex root = order_[k];
-    const std::size_t bp_limit = std::min(k, bp_.num_roots());
-    // Ranks below bp_.num_roots() are answered exactly by the tables;
-    // label scans (and the root_dist_ scatter feeding them) only matter
-    // once ranks beyond the tables exist.
-    const bool scan_labels = k > bp_.num_roots();
-    if (scan_labels) scatter_root_label(root, bp_.num_roots());
-    if (bp_limit > 0) {
-      const std::uint16_t* rd = bp_.dist_row(root);
-      const std::uint64_t* rm = bp_.sm1_row(root);
-      bp_root_dist_.assign(rd, rd + bp_limit);
-      bp_root_sm1_.assign(rm, rm + bp_limit);
-    }
-    frontier_.assign(1, root);
-    touched_.assign(1, root);
-    dist_[root] = 0;
+    const std::size_t num_roots = bp_.num_roots();
+    // Ranks below num_roots are answered exactly by the tables; label
+    // scans (and the root_dist scatter feeding them) only matter once the
+    // arena holds ranks beyond the tables.
+    const bool scan_labels = s > num_roots;
+    if (scan_labels) scatter_root_label(root, num_roots, sc.root_dist);
+    const std::uint16_t* rd = bp_.dist_row(root);
+    const std::uint64_t* rm = bp_.sm1_row(root);
+    sc.bp_root_dist.assign(rd, rd + num_roots);
+    sc.bp_root_sm1.assign(rm, rm + num_roots);
+    sc.frontier.assign(1, root);
+    sc.touched.assign(1, root);
+    sc.dist[root] = 0;
     Dist level = 0;
-    while (!frontier_.empty()) {
-      peak_frontier_ = std::max(peak_frontier_, static_cast<std::uint64_t>(frontier_.size()));
-      decide_prunes(level, bp_limit, scan_labels);
-      // Commit in frontier order: label pushes and frontier discovery are
-      // exactly the scalar builder's, whatever chunking decided the flags.
-      for (std::size_t i = 0; i < frontier_.size(); ++i) {
-        const Vertex u = frontier_[i];
-        ++c_visited_;
-        if (prune_flags_[i] != Prune::kNone) {
-          count_prune(prune_flags_[i]);
+    while (!sc.frontier.empty()) {
+      slot.peak_frontier = std::max(slot.peak_frontier, static_cast<std::uint64_t>(sc.frontier.size()));
+      for (const Vertex u : sc.frontier) {
+        ++slot.visited;
+        const Prune kind = covered_by(u, level, sc, scan_labels);
+        if (kind != Prune::kNone) {
+          count_prune(kind, slot);
           continue;
         }
-        arena_.push(u, RankEntry{static_cast<Vertex>(k), level});
-        ++c_pushes_;
+        slot.candidates.push_back(Candidate{u, level});
         for (const Arc& a : g_.arcs(u)) {
-          if (dist_[a.to] == kInfDist) {
-            dist_[a.to] = level + 1;
-            touched_.push_back(a.to);
-            next_.push_back(a.to);
+          if (sc.dist[a.to] == kInfDist) {
+            sc.dist[a.to] = level + 1;
+            sc.touched.push_back(a.to);
+            sc.next.push_back(a.to);
           }
         }
       }
       ++level;
-      frontier_.swap(next_);
-      next_.clear();
+      sc.frontier.swap(sc.next);
+      sc.next.clear();
     }
-    for (const Vertex v : touched_) dist_[v] = kInfDist;
-    if (scan_labels) clear_root_label(root, bp_.num_roots());
+    for (const Vertex v : sc.touched) sc.dist[v] = kInfDist;
+    if (scan_labels) clear_root_label(root, num_roots, sc.root_dist);
   }
 
-  void pruned_dijkstra(std::size_t k) {
+  /// Pruned Dijkstra from rank k against the arena as it stands.
+  void pruned_dijkstra(std::size_t k, SearchScratch& sc, RootSlot& slot) const {
     const Vertex root = order_[k];
-    scatter_root_label(root, 0);
+    scatter_root_label(root, 0, sc.root_dist);
     using Item = std::pair<Dist, Vertex>;
-    // The heap lives in a member buffer reused across roots (push_heap /
-    // pop_heap are exactly what priority_queue runs underneath, so the pop
-    // order — and hence the labeling — is unchanged).
-    heap_.clear();
-    touched_.assign(1, root);
-    dist_[root] = 0;
-    heap_.emplace_back(0, root);
+    // push_heap / pop_heap over a reused buffer are exactly what
+    // priority_queue runs underneath.
+    sc.heap.clear();
+    sc.touched.assign(1, root);
+    sc.dist[root] = 0;
+    sc.heap.emplace_back(0, root);
     const auto cmp = [](const Item& a, const Item& b) { return a > b; };
-    while (!heap_.empty()) {
-      peak_frontier_ = std::max(peak_frontier_, static_cast<std::uint64_t>(heap_.size()));
-      const auto [d, u] = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      heap_.pop_back();
-      if (d != dist_[u]) continue;
-      ++c_visited_;
-      const Prune kind = covered_by(u, d, 0, true);
+    while (!sc.heap.empty()) {
+      slot.peak_frontier = std::max(slot.peak_frontier, static_cast<std::uint64_t>(sc.heap.size()));
+      const auto [d, u] = sc.heap.front();
+      std::pop_heap(sc.heap.begin(), sc.heap.end(), cmp);
+      sc.heap.pop_back();
+      if (d != sc.dist[u]) continue;
+      ++slot.visited;
+      const Prune kind = covered_by(u, d, sc, true);
       if (kind != Prune::kNone) {
-        count_prune(kind);
+        count_prune(kind, slot);
         continue;
       }
-      arena_.push(u, RankEntry{static_cast<Vertex>(k), d});
-      ++c_pushes_;
+      slot.candidates.push_back(Candidate{u, d});
       for (const Arc& a : g_.arcs(u)) {
         const Dist nd = d + a.weight;
-        if (nd < dist_[a.to]) {
-          if (dist_[a.to] == kInfDist) touched_.push_back(a.to);
-          dist_[a.to] = nd;
-          heap_.emplace_back(nd, a.to);
-          std::push_heap(heap_.begin(), heap_.end(), cmp);
+        if (nd < sc.dist[a.to]) {
+          if (sc.dist[a.to] == kInfDist) sc.touched.push_back(a.to);
+          sc.dist[a.to] = nd;
+          sc.heap.emplace_back(nd, a.to);
+          std::push_heap(sc.heap.begin(), sc.heap.end(), cmp);
         }
       }
     }
-    for (const Vertex v : touched_) dist_[v] = kInfDist;
-    clear_root_label(root, 0);
+    for (const Vertex v : sc.touched) sc.dist[v] = kInfDist;
+    clear_root_label(root, 0, sc.root_dist);
   }
-
-  /// Frontiers below this size are pruned inline: the fan-out overhead
-  /// would outweigh the scan.
-  static constexpr std::size_t kParallelFrontierMin = 512;
 
   const Graph& g_;
   const std::vector<Vertex>& order_;
   std::size_t threads_;
   BitParallelRoots bp_;
   LabelArena arena_;
-  std::vector<Dist> root_dist_;  ///< rank-indexed distances of current root
-  std::vector<Dist> dist_;       ///< per-search tentative distances
   std::vector<LabelArena::Cursor> cursors_;  ///< per-vertex scan start (rank >= bp roots)
-  std::vector<std::uint32_t> bp_root_dist_;  ///< current root's table column
-  std::vector<std::uint64_t> bp_root_sm1_;   ///< current root's S_{-1} column
-  std::vector<Vertex> frontier_;
-  std::vector<Vertex> next_;
-  std::vector<Vertex> touched_;
-  std::vector<Prune> prune_flags_;
-  std::vector<std::pair<Dist, Vertex>> heap_;  ///< reused Dijkstra heap
+  std::vector<RootSlot> slots_;              ///< one per root of the current batch
+  std::vector<std::uint32_t> csr_count_;     ///< batch candidates per vertex
+  std::vector<std::size_t> csr_start_;       ///< group start in csr_entries_
+  std::vector<BatchEntry> csr_entries_;      ///< batch candidates grouped by vertex
+  std::vector<Vertex> csr_touched_;          ///< vertices with a batch candidate
   QuantileSketch frontier_sizes_;  ///< peak frontier / heap size per root
-  std::uint64_t peak_frontier_ = 0;
   std::uint64_t c_visited_ = 0;
   std::uint64_t c_pruned_ = 0;
   std::uint64_t c_pushes_ = 0;
   std::uint64_t c_bp_dist_prunes_ = 0;
   std::uint64_t c_bp_mask_prunes_ = 0;
+  std::uint64_t c_cleaned_ = 0;
 };
 
 }  // namespace

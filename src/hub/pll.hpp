@@ -26,8 +26,15 @@
 /// `PllConfig::bp_roots` roots of the order — exact distances plus 64-bit
 /// neighborhood masks, consulted before any label scan.  Only prunes the
 /// scalar builder would also take are taken, so the produced labels are
-/// byte-identical to the scalar path (`bp_roots = 0`) and invariant in
-/// `PllConfig::threads`.
+/// byte-identical to the scalar path (`bp_roots = 0`).
+///
+/// With more than one thread the pruned searches run in parallel root
+/// batches (docs/performance.md, "Parallel root batches"): every root of a
+/// batch searches against the labels of the ranks before the batch, a
+/// clean step drops the candidates an earlier root of the same batch
+/// covers, and the survivors are committed in rank order.  PLL's labeling
+/// is the canonical one for its order, so the batches reach the same
+/// labels byte for byte at every `PllConfig::threads`.
 
 namespace hublab {
 
@@ -54,10 +61,13 @@ struct PllConfig {
   /// table could truncate.
   std::size_t bp_roots = kPllDefaultBpRoots;
 
-  /// Worker threads for the per-root work (the bit-parallel table build
-  /// and the prune scan of large BFS frontiers).  0 defers to
-  /// HUBLAB_THREADS (util/parallel.hpp); label commits stay in frontier
-  /// order, so the labeling does not depend on this.
+  /// Worker threads for the per-root work: the bit-parallel table build,
+  /// the pruned searches (in parallel root batches when > 1) and the
+  /// finalize into hub-sorted rows.  0 defers to HUBLAB_THREADS
+  /// (util/parallel.hpp).  The labeling, `pll.label_pushes` and
+  /// `pll.label_size` do not depend on this; the search-work counters do
+  /// (batched searches are partly speculative), but are the same at every
+  /// count >= 2.  Inside another parallel region the builder runs as at 1.
   std::size_t threads = 1;
 };
 

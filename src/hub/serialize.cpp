@@ -1,9 +1,13 @@
 #include "hub/serialize.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -12,6 +16,13 @@ namespace hublab {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'A', 'B'};
+
+/// Packed on-disk size of one label entry: u32 hub, u64 dist.
+constexpr std::size_t kEntryBytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+/// Entries decoded per read: a hostile count can only make the loader
+/// allocate what the stream actually delivers.
+constexpr std::size_t kLoadChunkEntries = 4096;
 
 template <typename T>
 void write_pod(std::ostream& out, T value) {
@@ -26,19 +37,38 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+template <typename T>
+void put(char*& at, T value) {
+  std::memcpy(at, &value, sizeof value);
+  at += sizeof value;
+}
+
+template <typename T>
+T take(const char*& at) {
+  T value{};
+  std::memcpy(&value, at, sizeof value);
+  at += sizeof value;
+  return value;
+}
+
 }  // namespace
 
 void save_labeling(const HubLabeling& labeling, std::ostream& out) {
   out.write(kMagic, sizeof kMagic);
   write_pod<std::uint32_t>(out, kLabelingFormatVersion);
   write_pod<std::uint64_t>(out, labeling.num_vertices());
+  // Each label (its count, then its packed entries) goes out in one write.
+  std::vector<char> buffer;
   for (Vertex v = 0; v < labeling.num_vertices(); ++v) {
     const auto label = labeling.label(v);
-    write_pod<std::uint64_t>(out, label.size());
+    buffer.resize(sizeof(std::uint64_t) + label.size() * kEntryBytes);
+    char* at = buffer.data();
+    put<std::uint64_t>(at, label.size());
     for (const HubEntry& e : label) {
-      write_pod<std::uint32_t>(out, e.hub);
-      write_pod<std::uint64_t>(out, e.dist);
+      put<std::uint32_t>(at, e.hub);
+      put<std::uint64_t>(at, e.dist);
     }
+    out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   }
   if (!out) throw Error("labeling write failed");
 }
@@ -54,20 +84,34 @@ HubLabeling load_labeling(std::istream& in) {
   const auto n = read_pod<std::uint64_t>(in);
   if (n > (1ULL << 32)) throw ParseError("labeling file: implausible vertex count");
 
-  HubLabeling labeling(n);
+  // Rows are appended as labels arrive, never sized from the header: a
+  // short file claiming 2^32 vertices fails on truncation, not on memory.
+  std::vector<std::vector<HubEntry>> rows;
+  std::vector<char> buffer;
   for (std::uint64_t v = 0; v < n; ++v) {
     const auto count = read_pod<std::uint64_t>(in);
     if (count > n) throw ParseError("labeling file: label larger than vertex count");
+    std::vector<HubEntry>& row = rows.emplace_back();
+    row.reserve(std::min<std::uint64_t>(count, kLoadChunkEntries));
     std::uint64_t prev_hub_plus_one = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto hub = read_pod<std::uint32_t>(in);
-      const auto dist = read_pod<std::uint64_t>(in);
-      if (hub >= n) throw ParseError("labeling file: hub id out of range");
-      if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
-      prev_hub_plus_one = hub + 1ULL;
-      labeling.add_hub(static_cast<Vertex>(v), hub, dist);
+    for (std::uint64_t done = 0; done < count;) {
+      const std::uint64_t chunk = std::min<std::uint64_t>(count - done, kLoadChunkEntries);
+      buffer.resize(chunk * kEntryBytes);
+      in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+      if (!in) throw ParseError("labeling file truncated");
+      const char* at = buffer.data();
+      for (std::uint64_t i = 0; i < chunk; ++i) {
+        const auto hub = take<std::uint32_t>(at);
+        const auto dist = take<std::uint64_t>(at);
+        if (hub >= n) throw ParseError("labeling file: hub id out of range");
+        if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
+        prev_hub_plus_one = hub + 1ULL;
+        row.push_back(HubEntry{hub, dist});
+      }
+      done += chunk;
     }
   }
+  HubLabeling labeling(std::move(rows));
   labeling.finalize();
   return labeling;
 }

@@ -14,7 +14,9 @@
 ///   magic "HLAB" | u32 version | u64 n | per vertex: u64 count,
 ///   then count x (u32 hub, u64 dist).
 /// Loading validates the magic, version, monotone hub order and bounds,
-/// throwing ParseError on any corruption.
+/// throwing ParseError on any corruption.  Memory grows only with the
+/// labels actually read, so a header claiming more vertices or entries
+/// than the file holds fails on truncation, not on allocation.
 
 namespace hublab {
 

@@ -7,15 +7,18 @@
 #include "graph/generators.hpp"
 #include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
+#include "hub/order.hpp"
 #include "hub/pll.hpp"
 #include "lowerbound/gadget.hpp"
 #include "rs/rs_graph.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 /// \file pll_bp_test.cpp
 /// The bit-parallel construction kernel's contract: for every graph, order
 /// and configuration, the labels are *byte-identical* to the scalar
-/// builder's (`bp_roots = 0`), and invariant in the thread count.
+/// builder's (`bp_roots = 0`), and invariant in the thread count — also
+/// when threads > 1 switches the builder to parallel root batches.
 
 namespace hublab {
 namespace {
@@ -222,6 +225,148 @@ TEST(ParallelDeterminism, PllBpScalarPathThreadCountInvariant) {
   const HubLabeling one = pruned_landmark_labeling(g, order, PllConfig{0, 1});
   const HubLabeling four = pruned_landmark_labeling(g, order, PllConfig{0, 4});
   expect_same_labels(one, four, "1-vs-4 threads, scalar");
+}
+
+/// What one build leaves in the registry: every counter, the label-size
+/// histogram and the frontier sketch.  Empty when metrics are compiled
+/// out, so the comparisons below hold trivially there.
+struct BuildRecord {
+  HubLabeling labels;
+  std::vector<metrics::CounterSnapshot> counters;
+  std::vector<metrics::HistogramSnapshot> histograms;
+  std::vector<metrics::SketchSnapshot> sketches;
+
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const {
+    for (const auto& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  }
+};
+
+BuildRecord record_build(const Graph& g, const std::vector<Vertex>& order,
+                         const PllConfig& config) {
+  metrics::registry().reset();
+  BuildRecord r{pruned_landmark_labeling(g, order, config), {}, {}, {}};
+  r.counters = metrics::registry().counters();
+  r.histograms = metrics::registry().histograms();
+  r.sketches = metrics::registry().sketches();
+  return r;
+}
+
+void expect_same_histograms(const std::vector<metrics::HistogramSnapshot>& a,
+                            const std::vector<metrics::HistogramSnapshot>& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name) << what;
+    EXPECT_EQ(a[i].count, b[i].count) << what << " " << a[i].name;
+    EXPECT_EQ(a[i].sum, b[i].sum) << what << " " << a[i].name;
+    EXPECT_EQ(a[i].max, b[i].max) << what << " " << a[i].name;
+    EXPECT_EQ(a[i].p50, b[i].p50) << what << " " << a[i].name;
+  }
+}
+
+TEST(ParallelDeterminism, PllBatchesWeightedRoadAcrossOrdersAndThreads) {
+  // Weighted graphs run pruned Dijkstra, so every rank is searched; the
+  // batch loop must reproduce the sequential labels at every thread count.
+  Rng rng(31);
+  const Graph g = gen::road_like(18, 18, 0.2, 10, rng);
+  ASSERT_TRUE(g.is_weighted());
+  Rng order_rng(7);
+  const std::vector<std::pair<std::string, std::vector<Vertex>>> orders = {
+      {"degree", make_vertex_order(g, VertexOrder::kDegreeDescending, 0)},
+      {"betweenness", betweenness_order(g, 32, order_rng)},
+  };
+  for (const auto& [name, order] : orders) {
+    const BuildRecord one = record_build(g, order, PllConfig{64, 1});
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+      const std::string what = name + " threads=" + std::to_string(threads);
+      const BuildRecord many = record_build(g, order, PllConfig{64, threads});
+      expect_same_labels(one.labels, many.labels, what);
+      EXPECT_EQ(one.counter("pll.label_pushes"), many.counter("pll.label_pushes")) << what;
+      expect_same_histograms(one.histograms, many.histograms, what);
+    }
+  }
+}
+
+TEST(ParallelDeterminism, PllBatchesMatchScalarOnFig1GadgetsAndDisconnected) {
+  {
+    const lb::LayeredGadget h(lb::GadgetParams{2, 1});
+    const lb::Degree3Gadget g(h);
+    const std::vector<Vertex> order =
+        make_vertex_order(g.graph(), VertexOrder::kDegreeDescending, 0);
+    expect_bp_matches_scalar(g.graph(), order, PllConfig{64, 4}, "G_{2,1} threads=4");
+  }
+  {
+    const lb::LayeredGadget h(lb::GadgetParams{3, 1});
+    expect_bp_matches_scalar(
+        h.graph(), make_vertex_order(h.graph(), VertexOrder::kDegreeDescending, 0),
+        PllConfig{64, 4}, "H_{3,1} threads=4");
+  }
+  GraphBuilder b(90);
+  for (Vertex v = 0; v + 1 < 40; ++v) b.add_edge(v, v + 1);
+  for (Vertex v = 41; v + 1 < 85; ++v) b.add_edge(v, v + 1);
+  b.add_edge(41, 84);
+  const Graph disconnected = b.build();  // a path, a cycle and isolated vertices
+  for (const VertexOrder mode : {VertexOrder::kDegreeDescending, VertexOrder::kRandom}) {
+    expect_bp_matches_scalar(disconnected, make_vertex_order(disconnected, mode, 3),
+                             PllConfig{64, 4}, "disconnected threads=4");
+    expect_bp_matches_scalar(disconnected, make_vertex_order(disconnected, mode, 3),
+                             PllConfig{0, 4}, "disconnected bp_roots=0 threads=4");
+  }
+}
+
+TEST(ParallelDeterminism, PllBatchesOnGraphsSmallerThanABatch) {
+  // n below the largest batch: the schedule's batch is cut at the last
+  // rank, and with bp_roots >= n no rank is searched at all.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{17},
+                              std::size_t{63}}) {
+    Rng rng(n);
+    const Graph g = n < 4 ? gen::path(n) : gen::connected_gnm(n, n + n / 2, rng);
+    const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kRandom, 5);
+    for (const std::size_t roots : {std::size_t{0}, std::size_t{2}, std::size_t{64}}) {
+      expect_bp_matches_scalar(g, order, PllConfig{roots, 4},
+                               "n=" + std::to_string(n) + " bp_roots=" + std::to_string(roots));
+    }
+  }
+}
+
+TEST(ParallelDeterminism, PllBatchCountersEqualAtTwoAndFourThreads) {
+  // The batch schedule never reads the thread count, so every count >= 2
+  // does the same speculative work: visits, prunes, cleaned candidates and
+  // frontier peaks all match, not only the labels.
+  Rng rng(37);
+  const Graph weighted = gen::road_like(14, 14, 0.2, 10, rng);
+  const Graph unweighted = gen::connected_gnm(400, 900, rng);
+  for (const Graph* g : {&weighted, &unweighted}) {
+    const std::vector<Vertex> order = make_vertex_order(*g, VertexOrder::kDegreeDescending, 0);
+    const BuildRecord two = record_build(*g, order, PllConfig{16, 2});
+    const BuildRecord four = record_build(*g, order, PllConfig{16, 4});
+    const BuildRecord one = record_build(*g, order, PllConfig{16, 1});
+    expect_same_labels(two.labels, four.labels, "2-vs-4 threads");
+    ASSERT_EQ(two.counters.size(), four.counters.size());
+    for (std::size_t i = 0; i < two.counters.size(); ++i) {
+      EXPECT_EQ(two.counters[i].name, four.counters[i].name);
+      EXPECT_EQ(two.counters[i].value, four.counters[i].value) << two.counters[i].name;
+    }
+    ASSERT_EQ(two.sketches.size(), four.sketches.size());
+    for (std::size_t i = 0; i < two.sketches.size(); ++i) {
+      EXPECT_EQ(two.sketches[i].count, four.sketches[i].count) << two.sketches[i].name;
+      EXPECT_EQ(two.sketches[i].sum, four.sketches[i].sum) << two.sketches[i].name;
+      EXPECT_EQ(two.sketches[i].max, four.sketches[i].max) << two.sketches[i].name;
+    }
+    // Speculation never adds label entries: pushes match the 1-thread
+    // build, and every extra candidate is accounted for as cleaned.
+    EXPECT_EQ(two.counter("pll.label_pushes"), one.counter("pll.label_pushes"));
+    EXPECT_GE(two.counter("pll.visited"), one.counter("pll.visited"));
+#if HUBLAB_METRICS_ENABLED
+    EXPECT_GT(two.counter("pll.cleaned"), 0u) << "the batches never overlapped";
+    EXPECT_EQ(two.counter("pll.visited") - one.counter("pll.visited"),
+              two.counter("pll.pruned") - one.counter("pll.pruned") +
+                  two.counter("pll.cleaned"));
+#endif
+  }
 }
 
 }  // namespace

@@ -115,8 +115,16 @@ TEST(Fuzz, LabelingLoaderNeverCrashes) {
   Rng rng(6);
   for (int trial = 0; trial < 200; ++trial) {
     std::string bytes;
-    // Half the trials start with the right magic to get past the header.
-    if (trial % 2 == 0) bytes = "HLAB";
+    // Half the trials start with a valid magic and version, and a vertex
+    // count the loader accepts, so the random bytes land in the body.
+    if (trial % 2 == 0) {
+      bytes = "HLAB";
+      const std::uint32_t version = kLabelingFormatVersion;
+      // Mostly small counts; one seeded trial in four claims 2^32.
+      const std::uint64_t n = trial % 8 == 0 ? (1ULL << 32) : rng.next_below(16) + 1;
+      bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+      bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+    }
     const std::size_t len = rng.next_below(100) + 4;
     for (std::size_t i = 0; i < len; ++i) {
       bytes.push_back(static_cast<char>(rng.next_below(256)));

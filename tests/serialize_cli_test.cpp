@@ -109,6 +109,25 @@ TEST(Serialize, CorruptHubOrderThrows) {
   EXPECT_THROW(load_labeling(buffer), ParseError);
 }
 
+TEST(Serialize, HugeVertexCountWithTruncatedBodyThrows) {
+  // A valid header claiming 2^32 vertices and no body: the loader must
+  // fail on the missing labels, not allocate rows for the claimed count.
+  std::stringstream buffer;
+  buffer.write("HLAB", 4);
+  const std::uint32_t version = kLabelingFormatVersion;
+  buffer.write(reinterpret_cast<const char*>(&version), 4);
+  const std::uint64_t n = 1ULL << 32;
+  buffer.write(reinterpret_cast<const char*>(&n), 8);
+  ASSERT_EQ(buffer.str().size(), 16u);
+  EXPECT_THROW(load_labeling(buffer), ParseError);
+
+  // The same header followed by one label that claims 2^32 entries.
+  const std::uint64_t count = n;
+  buffer.write(reinterpret_cast<const char*>(&count), 8);
+  buffer.seekg(0);
+  EXPECT_THROW(load_labeling(buffer), ParseError);
+}
+
 TEST(Serialize, FileHelpers) {
   Rng rng(4);
   const Graph g = gen::connected_gnm(20, 40, rng);
