@@ -76,14 +76,14 @@ const Workload& sparse_workload() {
   return w;
 }
 
-/// The smallest random sparse family above the stamp-table bound (n <= 2730
-/// keeps the tables in L1; see FlatHubLabeling::query_batch): its blocks
-/// take the per-pair merge kernel, so its batch gauge guards that path.
+/// A random sparse family above the stamp-table bound (n <= 4096 keeps the
+/// tables in L1; see FlatHubLabeling::query_batch): its blocks take the
+/// per-pair merge kernel, so its batch gauge guards that path.
 const Workload& merge_workload() {
   static const Workload w = [] {
     Workload wl;
     Rng rng(6);
-    wl.graph = gen::connected_gnm(2800, 5600, rng);
+    wl.graph = gen::connected_gnm(4400, 8800, rng);
     wl.labels = pruned_landmark_labeling(wl.graph);
     wl.flat = FlatHubLabeling(wl.labels);
     wl.queries =
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
                 hublab::simd::tier_name(hublab::simd::active_tier()));
     batch_ok = hublab::run_batch_phase(harness, "road40x40", hublab::road_workload());
     batch_ok = hublab::run_batch_phase(harness, "gnm2000", hublab::sparse_workload()) && batch_ok;
-    batch_ok = hublab::run_batch_phase(harness, "gnm2800", hublab::merge_workload()) && batch_ok;
+    batch_ok = hublab::run_batch_phase(harness, "gnm4400", hublab::merge_workload()) && batch_ok;
   }
   {
     auto llc_span = harness.phase("llc-miss-scan");

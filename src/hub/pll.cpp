@@ -193,7 +193,11 @@ class LabelArena {
     Block& b = blocks_[tail];
     slots_[b.first + b.count] = e;
     ++b.count;
+    max_dist_ = std::max(max_dist_, e.dist);
   }
+
+  /// Largest distance pushed so far (0 for an empty arena).
+  [[nodiscard]] Dist max_dist() const { return max_dist_; }
 
   [[nodiscard]] std::size_t size(Vertex v) const {
     std::size_t total = 0;
@@ -264,6 +268,7 @@ class LabelArena {
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> tail_;
   std::vector<std::uint8_t> first_cap_;
+  Dist max_dist_ = 0;
 };
 
 /// Cover-test outcomes, kept apart so the per-kind prune counters can be
@@ -361,16 +366,30 @@ class PllBuilder {
 
   FlatHubLabeling run_flat() {
     build_labels();
-    // Straight into the SoA layout: row offsets from a prefix sum of the
-    // label sizes (plus one sentinel per row), then each row mapped to hub
-    // ids, hub-sorted and written on the pool.  Matches
-    // FlatHubLabeling(HubLabeling) on the finalized labeling bit for bit.
+    // The distance column's width is fixed here, before any row is
+    // written, so no u64 column of the full size exists when every
+    // distance fits the narrow one.
+    if (arena_.max_dist() < kInfDist32) return flatten<Dist32>(kInfDist32);
+    return flatten<Dist>(kInfDist);
+  }
+
+ private:
+  /// Largest batch of roots searched against the same arena state.
+  static constexpr std::size_t kMaxBatch = 64;
+
+  /// Straight into the SoA layout with a `D` distance column: row offsets
+  /// from a prefix sum of the label sizes (plus one sentinel per row), then
+  /// each row mapped to hub ids, hub-sorted and written on the pool.
+  /// Matches FlatHubLabeling(HubLabeling) on the finalized labeling bit for
+  /// bit.
+  template <typename D>
+  FlatHubLabeling flatten(D inf) const {
     const std::size_t n = g_.num_vertices();
     const std::vector<std::size_t> sizes = record_label_sizes();
     std::vector<std::size_t> offsets(n + 1, 0);
     for (Vertex v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + sizes[v] + 1;
     std::vector<Vertex> hubs(offsets[n]);
-    std::vector<Dist> dists(offsets[n]);
+    std::vector<D> dists(offsets[n]);
     par::parallel_for(0, n, threads_, [&](const par::ChunkRange& chunk) {
       std::vector<HubEntry> row;
       for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
@@ -379,19 +398,15 @@ class PllBuilder {
         std::size_t at = offsets[v];
         for (const HubEntry& e : row) {
           hubs[at] = e.hub;
-          dists[at] = e.dist;
+          dists[at] = static_cast<D>(e.dist);
           ++at;
         }
         hubs[at] = kInvalidVertex;
-        dists[at] = kInfDist;
+        dists[at] = inf;
       }
     });
     return FlatHubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
   }
-
- private:
-  /// Largest batch of roots searched against the same arena state.
-  static constexpr std::size_t kMaxBatch = 64;
 
   /// Per-vertex label sizes, recorded into the pll.label_size histogram.
   [[nodiscard]] std::vector<std::size_t> record_label_sizes() const {

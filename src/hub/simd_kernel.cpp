@@ -78,45 +78,13 @@ Tier active_tier() noexcept { return force_scalar() ? Tier::kScalar : best_suppo
 
 namespace detail {
 
-HubQueryResult intersect_scalar(const Vertex* hubs_a, const Dist* dists_a, const Vertex* hubs_b,
-                                const Dist* dists_b) {
-  HubQueryResult best;
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;  // both cursors hit their sentinels
-      const Dist d = *dists_a + *dists_b;
-      if (d < best.dist) {
-        best.dist = d;
-        best.meeting_hub = a;
-      }
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-  return best;
-}
-
-HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
-                            const std::uint32_t* stamp, const Dist* sdist,
+HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist32* dists_t, std::size_t size_t_,
+                            const std::uint32_t* stamp, const Dist32* sdist,
                             std::uint32_t current) {
   HubQueryResult best;
   for (std::size_t i = 0; i < size_t_; ++i) {
     const Vertex h = hubs_t[i];
-    if (stamp[h] == current) {
-      const Dist d = sdist[h] + dists_t[i];
-      // Lexicographic (dist, hub) fold: with the ascending target scan and
-      // strict <, identical to the sentinel merge's update rule.
-      if (d < best.dist || (d == best.dist && h < best.meeting_hub)) {
-        best.dist = d;
-        best.meeting_hub = h;
-      }
-    }
+    if (stamp[h] == current) fold_match(best, h, Dist{sdist[h]} + Dist{dists_t[i]});
   }
   return best;
 }
@@ -125,12 +93,12 @@ HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size
 
 namespace {
 
-/// intersect_scalar behind the sized KernelFn signature (the sizes are
+/// The sentinel merge behind the sized KernelFn signature (the sizes are
 /// implied by the sentinels).
-HubQueryResult intersect_scalar_sized(const Vertex* hubs_a, const Dist* dists_a,
-                                      std::size_t /*size_a*/, const Vertex* hubs_b,
-                                      const Dist* dists_b, std::size_t /*size_b*/) {
-  return detail::intersect_scalar(hubs_a, dists_a, hubs_b, dists_b);
+HubQueryResult intersect_scalar(const Vertex* hubs_a, const Dist32* dists_a,
+                                std::size_t /*size_a*/, const Vertex* hubs_b,
+                                const Dist32* dists_b, std::size_t /*size_b*/) {
+  return sentinel_merge(hubs_a, dists_a, hubs_b, dists_b);
 }
 
 }  // namespace
@@ -145,11 +113,12 @@ KernelFn kernel_for(Tier tier) noexcept {
   }
 #endif
   (void)tier;
-  return &intersect_scalar_sized;
+  return &intersect_scalar;
 }
 
-HubQueryResult intersect(Tier tier, const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                         const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
+HubQueryResult intersect(Tier tier, const Vertex* hubs_a, const Dist32* dists_a,
+                         std::size_t size_a, const Vertex* hubs_b, const Dist32* dists_b,
+                         std::size_t size_b) {
   return kernel_for(tier)(hubs_a, dists_a, size_a, hubs_b, dists_b, size_b);
 }
 

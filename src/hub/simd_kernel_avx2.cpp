@@ -6,9 +6,10 @@
 // whichever block's maximum is not larger — the standard vectorized
 // sorted-set-intersection walk, which visits every common hub exactly once
 // and in globally ascending hub order.  Tails shorter than a block finish
-// on the sentinel merge.  The lexicographic (dist, hub) minimum makes the
-// answer byte-identical to the scalar kernel: smallest distance, and
-// among ties the smallest hub id.
+// on the sentinel merge.  Distances are u32 columns, widened to u64 before
+// each add.  The lexicographic (dist, hub) minimum makes the answer
+// byte-identical to the scalar kernel: smallest distance, and among ties
+// the smallest hub id.
 //
 // This TU is compiled with -mavx2 only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -22,39 +23,8 @@
 
 namespace hublab::simd::detail {
 
-namespace {
-
-/// Fold a matched hub into the running (dist, hub) lexicographic minimum.
-inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
-  if (d < best.dist || (d == best.dist && hub < best.meeting_hub)) {
-    best.dist = d;
-    best.meeting_hub = hub;
-  }
-}
-
-/// Sentinel-merge the tails into `best` (same update rule).
-void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
-                const Vertex* hubs_b, const Dist* dists_b) {
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;
-      fold_match(best, a, *dists_a + *dists_b);
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-}
-
-}  // namespace
-
-HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                              const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
+HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist32* dists_a, std::size_t size_a,
+                              const Vertex* hubs_b, const Dist32* dists_b, std::size_t size_b) {
   HubQueryResult best;
   std::size_t ia = 0;
   std::size_t ib = 0;
@@ -104,7 +74,8 @@ HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::si
       do {
         const auto lane = static_cast<std::size_t>(__builtin_ctz(mask));
         mask &= mask - 1;
-        fold_match(best, hubs_a[ia + lane], dists_a[ia + lane] + dists_b[ib + lane_b[lane]]);
+        fold_match(best, hubs_a[ia + lane],
+                   Dist{dists_a[ia + lane]} + Dist{dists_b[ib + lane_b[lane]]});
       } while (mask != 0);
     }
     // Branchless block advance: whichever side's maximum is not larger
@@ -115,12 +86,12 @@ HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::si
     ia += static_cast<std::size_t>(amax <= bmax) * 8;
     ib += static_cast<std::size_t>(bmax <= amax) * 8;
   }
-  merge_tail(best, hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib);
-  return best;
+  return sentinel_merge(hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib, best);
 }
 
-HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
-                          const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
+HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist32* dists_t, std::size_t size_t_,
+                          const std::uint32_t* stamp, const Dist32* sdist,
+                          std::uint32_t current) {
   HubQueryResult best;
   const __m256i vcur = _mm256_set1_epi32(static_cast<int>(current));
   std::size_t i = 0;
@@ -138,12 +109,12 @@ HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t
       const auto lane = static_cast<std::size_t>(__builtin_ctz(mask));
       mask &= mask - 1;
       const Vertex h = hubs_t[i + lane];
-      fold_match(best, h, sdist[h] + dists_t[i + lane]);
+      fold_match(best, h, Dist{sdist[h]} + Dist{dists_t[i + lane]});
     }
   }
   for (; i < size_t_; ++i) {
     const Vertex h = hubs_t[i];
-    if (stamp[h] == current) fold_match(best, h, sdist[h] + dists_t[i]);
+    if (stamp[h] == current) fold_match(best, h, Dist{sdist[h]} + Dist{dists_t[i]});
   }
   return best;
 }

@@ -3,9 +3,10 @@
 // with _mm512_permutexvar_epi32 rotations and compare-to-mask
 // (_mm512_cmpeq_epi32_mask) replacing the movemask dance.  The matches of
 // a block pair are folded in registers: the sixteen compare masks give
-// every matched A lane its B lane, one permute per 8-lane half lines B's
-// distances up with A's, and a masked minimum reduction picks the block's
-// best (dist, hub).  Answers are byte-identical to every other tier —
+// every matched A lane its B lane, one permute of B's sixteen u32
+// distances lines them up with A's, both widen to u64 per 8-lane half for
+// the add, and a masked minimum reduction picks the block's best
+// (dist, hub).  Answers are byte-identical to every other tier —
 // lexicographic (dist, hub) minimum over the common hubs.
 //
 // This TU is compiled with -mavx512f only when the toolchain supports it
@@ -20,35 +21,6 @@
 
 namespace hublab::simd::detail {
 
-namespace {
-
-inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
-  if (d < best.dist || (d == best.dist && hub < best.meeting_hub)) {
-    best.dist = d;
-    best.meeting_hub = hub;
-  }
-}
-
-void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
-                const Vertex* hubs_b, const Dist* dists_b) {
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;
-      fold_match(best, a, *dists_a + *dists_b);
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-}
-
-}  // namespace
-
 // GCC's _mm512_permutexvar_epi32 routes a self-initialized
 // _mm512_undefined_epi32() don't-care merge source through the builtin;
 // -Wmaybe-uninitialized (GCC 12) flags it through the inline even though
@@ -58,8 +30,9 @@ void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                                const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
+HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist32* dists_a, std::size_t size_a,
+                                const Vertex* hubs_b, const Dist32* dists_b,
+                                std::size_t size_b) {
   HubQueryResult best;
   std::size_t ia = 0;
   std::size_t ib = 0;
@@ -127,16 +100,16 @@ HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::
       hi = _mm512_mask_mov_epi32(hi, e14, r14);
       hi = _mm512_mask_mov_epi32(hi, e15, r15);
       const __m512i idx = _mm512_mask_mov_epi32(lo, static_cast<__mmask16>(upper), hi);
-      // Widen the index to u64 lanes, gather B's matched distances with
-      // one two-source permute per 8-lane half, and add A's distances.
-      const __m512i idx0 = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(idx));
-      const __m512i idx1 = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(idx, 1));
-      const __m512i db0 = _mm512_loadu_si512(dists_b + ib);
-      const __m512i db1 = _mm512_loadu_si512(dists_b + ib + 8);
-      const __m512i sum0 = _mm512_add_epi64(_mm512_loadu_si512(dists_a + ia),
-                                            _mm512_permutex2var_epi64(db0, idx0, db1));
-      const __m512i sum1 = _mm512_add_epi64(_mm512_loadu_si512(dists_a + ia + 8),
-                                            _mm512_permutex2var_epi64(db0, idx1, db1));
+      // One permute lines B's sixteen u32 distances up with A's lanes;
+      // each 8-lane half of both then widens to u64 for the add, so two
+      // distances just below 2^32 sum exactly.
+      const __m512i da = _mm512_loadu_si512(dists_a + ia);
+      const __m512i db = _mm512_permutexvar_epi32(idx, _mm512_loadu_si512(dists_b + ib));
+      const __m512i sum0 = _mm512_add_epi64(_mm512_cvtepu32_epi64(_mm512_castsi512_si256(da)),
+                                            _mm512_cvtepu32_epi64(_mm512_castsi512_si256(db)));
+      const __m512i sum1 =
+          _mm512_add_epi64(_mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(da, 1)),
+                           _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(db, 1)));
       const auto m0 = static_cast<__mmask8>(mask);
       const auto m1 = static_cast<__mmask8>(mask >> 8);
       const Dist d = _mm512_reduce_min_epu64(_mm512_min_epu64(
@@ -161,12 +134,11 @@ HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::
     ia += static_cast<std::size_t>(amax <= bmax) * 16;
     ib += static_cast<std::size_t>(bmax <= amax) * 16;
   }
-  merge_tail(best, hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib);
-  return best;
+  return sentinel_merge(hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib, best);
 }
 
-HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
-                            const std::uint32_t* stamp, const Dist* sdist,
+HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist32* dists_t, std::size_t size_t_,
+                            const std::uint32_t* stamp, const Dist32* sdist,
                             std::uint32_t current) {
   HubQueryResult best;
   const __m512i vcur = _mm512_set1_epi32(static_cast<int>(current));
@@ -183,12 +155,12 @@ HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size
       const auto lane = static_cast<std::size_t>(__builtin_ctz(mask));
       mask &= mask - 1;
       const Vertex h = hubs_t[i + lane];
-      fold_match(best, h, sdist[h] + dists_t[i + lane]);
+      fold_match(best, h, Dist{sdist[h]} + Dist{dists_t[i + lane]});
     }
   }
   for (; i < size_t_; ++i) {
     const Vertex h = hubs_t[i];
-    if (stamp[h] == current) fold_match(best, h, sdist[h] + dists_t[i]);
+    if (stamp[h] == current) fold_match(best, h, Dist{sdist[h]} + Dist{dists_t[i]});
   }
   return best;
 }

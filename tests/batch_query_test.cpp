@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/distance_matrix.hpp"
 #include "graph/generators.hpp"
 #include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
@@ -14,6 +15,7 @@
 #include "oracle/server.hpp"
 #include "oracle/workload.hpp"
 #include "rs/rs_graph.hpp"
+#include "tests/heavy_weight_graphs.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -22,7 +24,7 @@ namespace {
 
 /// Block sizes straddling the stamp-table threshold (32 pairs): 1 and 7
 /// always take the per-pair merge-kernel path; 64 and 4096 take the
-/// stamp-table probe path on graphs with n <= 2730 (tables within 32 KiB)
+/// stamp-table probe path on graphs with n <= 4096 (tables within 32 KiB)
 /// and the merge path on larger graphs.
 constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
 
@@ -89,23 +91,107 @@ TEST(BatchQuery, ByteIdenticalOnWeightedRoadGraph) {
 }
 
 TEST(BatchQuery, ByteIdenticalOnMergePathAboveStampBound) {
-  // n = 3600 > 2730: the stamp tables would not fit in L1, so blocks of
-  // 64 and 4096 pairs also take the merge kernel (with the next-pair
-  // prefetch), over weighted labels longer than one 16-hub SIMD block.
+  // n = 4900 > 4096: the stamp tables (a u32 stamp and a u32 distance per
+  // vertex) would not fit in 32 KiB of L1, so blocks of 64 and 4096 pairs
+  // also take the merge kernel (with the next-pair prefetch), over
+  // weighted labels longer than one 16-hub SIMD block.
   Rng rng(37);
-  const Graph g = gen::road_like(60, 60, 0.2, 9, rng);
-  ASSERT_GT(g.num_vertices(), 2730u);
+  const Graph g = gen::road_like(70, 70, 0.2, 9, rng);
+  ASSERT_GT(g.num_vertices(),
+            (std::size_t{32} << 10) / (sizeof(std::uint32_t) + sizeof(Dist32)));
   expect_batch_identity(g);
+}
+
+/// Every query entry point on labels at the 32-bit boundary of the
+/// distance column: query, query_with_hub (meeting hub included),
+/// query_with_stats and query_batch_tier at every reachable tier and block
+/// sizes 1, 7 and 64 (the stamp probe), over every ordered pair, each
+/// against HubLabeling::query_with_hub and Dijkstra.  Returns the number
+/// of pairs whose distance exceeds 2^32 and whose labels both hold at
+/// least 16 entries (a full AVX-512 block).
+std::size_t expect_boundary_answers(const Graph& g, std::size_t dist_bytes) {
+  const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kNatural);
+  const HubLabeling labels = pruned_landmark_labeling(g, order);
+  const FlatHubLabeling flat = pruned_landmark_labeling_flat(g, order);
+  EXPECT_EQ(flat.dist_bytes(), dist_bytes);
+  const DistanceMatrix truth = DistanceMatrix::compute(g);
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  std::vector<HubQueryResult> refs;
+  std::size_t long_wide_pairs = 0;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const HubQueryResult ref = labels.query_with_hub(u, v);
+      EXPECT_EQ(ref.dist, truth.at(u, v)) << "(" << u << "," << v << ")";
+      const HubQueryResult got = flat.query_with_hub(u, v);
+      EXPECT_EQ(got.dist, ref.dist) << "(" << u << "," << v << ")";
+      EXPECT_EQ(got.meeting_hub, ref.meeting_hub) << "(" << u << "," << v << ")";
+      EXPECT_EQ(flat.query(u, v), ref.dist) << "(" << u << "," << v << ")";
+      metrics::QueryStats stats;
+      const HubQueryResult explained = flat.query_with_stats(u, v, stats);
+      EXPECT_EQ(explained.dist, ref.dist) << "(" << u << "," << v << ")";
+      EXPECT_EQ(explained.meeting_hub, ref.meeting_hub) << "(" << u << "," << v << ")";
+      if (ref.dist > (Dist{1} << 32) && flat.label_size(u) >= 16 && flat.label_size(v) >= 16) {
+        ++long_wide_pairs;
+      }
+      pairs.emplace_back(u, v);
+      refs.push_back(ref);
+    }
+  }
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    std::vector<HubQueryResult> out(block);
+    for (const simd::Tier tier : simd::supported_tiers()) {
+      for (std::size_t first = 0; first + block <= pairs.size(); first += block) {
+        flat.query_batch_tier({pairs.data() + first, block}, out, tier);
+        for (std::size_t i = 0; i < block; ++i) {
+          const auto [u, v] = pairs[first + i];
+          EXPECT_EQ(out[i].dist, refs[first + i].dist)
+              << "tier=" << simd::tier_name(tier) << " block=" << block << " (" << u << "," << v
+              << ")";
+          EXPECT_EQ(out[i].meeting_hub, refs[first + i].meeting_hub)
+              << "tier=" << simd::tier_name(tier) << " block=" << block << " (" << u << "," << v
+              << ")";
+        }
+      }
+    }
+  }
+  return long_wide_pairs;
+}
+
+TEST(BatchQuery, WidensSumsAboveTwoToTheThirtyTwo) {
+  // Label distances below 2^32 - 1 (the u32 column), but cross-arm sums
+  // through a center above 2^32: a 32-bit add would wrap.  Some of those
+  // pairs have labels of 16+ entries, so the SIMD block loops add them.
+  const Graph g = heavy::wide_sums();
+  EXPECT_LT(heavy::max_label_dist(pruned_landmark_labeling(
+                g, make_vertex_order(g, VertexOrder::kNatural))),
+            Dist{kInfDist32});
+  EXPECT_GT(expect_boundary_answers(g, sizeof(Dist32)), 0u);
+}
+
+TEST(BatchQuery, LargestNarrowDistanceStaysOnU32Column) {
+  const Graph g = heavy::narrow_limit();
+  EXPECT_EQ(heavy::max_label_dist(pruned_landmark_labeling(
+                g, make_vertex_order(g, VertexOrder::kNatural))),
+            Dist{0xFFFFFFFEU});
+  EXPECT_GT(expect_boundary_answers(g, sizeof(Dist32)), 0u);
+}
+
+TEST(BatchQuery, DistancesPastU32TakeU64Column) {
+  const Graph g = heavy::needs_u64();
+  EXPECT_EQ(heavy::max_label_dist(pruned_landmark_labeling(
+                g, make_vertex_order(g, VertexOrder::kNatural))),
+            Dist{0xFFFFFFFFU});
+  EXPECT_GT(expect_boundary_answers(g, sizeof(Dist)), 0u);
 }
 
 /// Sentinel-terminated label columns, as FlatHubLabeling lays them out.
 struct Columns {
   std::vector<Vertex> hubs;
-  std::vector<Dist> dists;
+  std::vector<Dist32> dists;
 
-  Columns(std::vector<Vertex> h, std::vector<Dist> d) : hubs(std::move(h)), dists(std::move(d)) {
+  Columns(std::vector<Vertex> h, std::vector<Dist32> d) : hubs(std::move(h)), dists(std::move(d)) {
     hubs.push_back(kInvalidVertex);
-    dists.push_back(kInfDist);
+    dists.push_back(kInfDist32);
   }
   [[nodiscard]] std::size_t size() const { return hubs.size() - 1; }
 };
@@ -117,7 +203,7 @@ HubQueryResult brute_force_min(const Columns& a, const Columns& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     for (std::size_t j = 0; j < b.size(); ++j) {
       if (a.hubs[i] != b.hubs[j]) continue;
-      const Dist d = a.dists[i] + b.dists[j];
+      const Dist d = Dist{a.dists[i]} + Dist{b.dists[j]};
       if (d < best.dist || (d == best.dist && a.hubs[i] < best.meeting_hub)) {
         best.dist = d;
         best.meeting_hub = a.hubs[i];
@@ -147,10 +233,10 @@ void expect_kernel_answer(const Columns& a, const Columns& b, const HubQueryResu
 }
 
 /// Hubs 0, step, 2 * step, ... (count of them), all at distance `base`.
-Columns strided(std::size_t count, Vertex step, Dist base) {
+Columns strided(std::size_t count, Vertex step, Dist32 base) {
   std::vector<Vertex> hubs(count);
   for (std::size_t i = 0; i < count; ++i) hubs[i] = static_cast<Vertex>(i) * step;
-  return {std::move(hubs), std::vector<Dist>(count, base)};
+  return {std::move(hubs), std::vector<Dist32>(count, base)};
 }
 
 TEST(BatchQuery, KernelFoldsEverySharedHubToSmallestTiedHub) {
@@ -224,25 +310,29 @@ TEST(BatchQuery, KernelFoldsRotatedMatchesToSmallestTiedHub) {
 
 TEST(BatchQuery, KernelMatchesBruteForceOnRandomColumns) {
   // Random sorted hub sets over a small universe (dense overlap) with
-  // distances in [0, 3] (dense ties), lengths straddling the 8- and
-  // 16-lane block sizes.
+  // distances in [base, base + 3] (dense ties), lengths straddling the 8-
+  // and 16-lane block sizes.  The second base puts every distance just
+  // below kInfDist32, so every sum exceeds 2^32 and a kernel that adds in
+  // 32 bits wraps.
   Rng rng(41);
-  for (int trial = 0; trial < 400; ++trial) {
-    const auto make = [&rng] {
-      std::vector<Vertex> hubs;
-      std::vector<Dist> dists;
-      const std::uint64_t keep = 1 + rng.next_below(4);  // keep each hub with p = keep / 4
-      for (Vertex h = 0; h < 160; ++h) {
-        if (rng.next_below(4) < keep) {
-          hubs.push_back(h);
-          dists.push_back(rng.next_below(4));
+  for (const Dist32 base : {Dist32{0}, Dist32{kInfDist32 - 4}}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const auto make = [&rng, base] {
+        std::vector<Vertex> hubs;
+        std::vector<Dist32> dists;
+        const std::uint64_t keep = 1 + rng.next_below(4);  // keep each hub with p = keep / 4
+        for (Vertex h = 0; h < 160; ++h) {
+          if (rng.next_below(4) < keep) {
+            hubs.push_back(h);
+            dists.push_back(base + static_cast<Dist32>(rng.next_below(4)));
+          }
         }
-      }
-      return Columns(std::move(hubs), std::move(dists));
-    };
-    const Columns a = make();
-    const Columns b = make();
-    expect_kernel_answer(a, b, brute_force_min(a, b));
+        return Columns(std::move(hubs), std::move(dists));
+      };
+      const Columns a = make();
+      const Columns b = make();
+      expect_kernel_answer(a, b, brute_force_min(a, b));
+    }
   }
 }
 

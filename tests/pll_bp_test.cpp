@@ -134,13 +134,14 @@ TEST(PllBp, FlatBuildMatchesConvertedVectorBuild) {
     const FlatHubLabeling converted(pruned_landmark_labeling(g, order, PllConfig{roots, 1}));
     ASSERT_EQ(direct.num_vertices(), converted.num_vertices());
     ASSERT_EQ(direct.total_hubs(), converted.total_hubs());
+    ASSERT_EQ(direct.dist_bytes(), converted.dist_bytes());
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       const auto ha = direct.hubs(v);
       const auto hb = converted.hubs(v);
       ASSERT_EQ(ha.size(), hb.size()) << "v=" << v << " bp_roots=" << roots;
       for (std::size_t i = 0; i < ha.size(); ++i) {
         ASSERT_EQ(ha[i], hb[i]) << "v=" << v << " entry " << i;
-        ASSERT_EQ(direct.dists(v)[i], converted.dists(v)[i]) << "v=" << v << " entry " << i;
+        ASSERT_EQ(direct.dist(v, i), converted.dist(v, i)) << "v=" << v << " entry " << i;
       }
     }
   }

@@ -180,7 +180,8 @@ assert any(k.startswith("pract.pll_build_pct_of_1thread.") for k in headline), \
     "BENCH_pll_orderings.json carries no pract.pll_build_pct_of_1thread.* gauges"
 for key, value in sorted(gauges("BENCH_query_oracles.json").items()):
     if key.startswith(("pract.flat_query_pct_of_vector.",
-                       "pract.batch_query_pct_of_scalar.")):
+                       "pract.batch_query_pct_of_scalar.",
+                       "pract.flat_label_bytes.")):
         headline[key] = value
 assert any(k.startswith("pract.flat_query_pct_of_vector.") for k in headline), \
     "BENCH_query_oracles.json carries no pract.flat_query_pct_of_vector.* gauges"
