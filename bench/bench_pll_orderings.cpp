@@ -18,6 +18,7 @@
 #include "hub/pll.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/contraction_hierarchy.hpp"
+#include "util/metrics.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -164,7 +165,13 @@ int main(int argc, char** argv) {
   // rank) and the 3-regular kernel graph above (bit-parallel tables, then
   // pruned BFS).  pract.pll_build_pct_of_1thread.<family> records the best
   // 4-thread build time as a percent of the best 1-thread time (lower is
-  // better; 25 would be linear scaling).
+  // better; 25 would be linear scaling).  Both families keep their full
+  // size under --smoke: a 4-thread build of a few thousand vertices is too
+  // short to rise above the pool's scheduling noise, so the gauge would
+  // measure how many cores are idle rather than how the build scales.
+  // pract.pll_arena_bytes_per_hub.<family> divides the 4-thread build's
+  // pll.arena_bytes by its total hubs: a pure count, so a larger arena per
+  // label entry shows at once.
   bool scaling_ok = true;
   {
     auto span = harness.phase("threads-scaling");
@@ -177,20 +184,21 @@ int main(int argc, char** argv) {
     std::vector<Case> cases;
     {
       Rng rng(6);
-      const std::size_t side = harness.smoke() ? 64 : 100;
-      Graph road = gen::road_like(side, side, 0.2, 10, rng);
+      Graph road = gen::road_like(100, 100, 0.2, 10, rng);
       Rng bt_rng(7);
       std::vector<Vertex> order = betweenness_order(road, 64, bt_rng);
       harness.add_graph("road-like (threads)", road.num_vertices(), road.num_edges());
       cases.push_back({"road", std::move(road), std::move(order), kPllDefaultBpRoots});
     }
     {
+      constexpr std::size_t kRegularN = 3000;
       Rng rng(5);
-      Graph regular = gen::random_regular(kernel_n, 3, rng);
+      Graph regular = gen::random_regular(kRegularN, 3, rng);
       std::vector<Vertex> order = make_vertex_order(regular, VertexOrder::kDegreeDescending);
-      cases.push_back({"regular3", std::move(regular), std::move(order), kernel_roots});
+      harness.add_graph("random 3-regular (threads)", regular.num_vertices(), regular.num_edges());
+      cases.push_back({"regular3", std::move(regular), std::move(order), kRegularN / 8});
     }
-    const std::size_t reps = 5;
+    const std::size_t reps = harness.smoke() ? 3 : 5;
     const std::size_t threads[2] = {1, 4};
     for (const Case& c : cases) {
       double best[2] = {0.0, 0.0};
@@ -203,15 +211,22 @@ int main(int argc, char** argv) {
           best[i] = r == 0 ? s : std::min(best[i], s);
         }
       }
+      // The last build ran at 4 threads.
+      const std::int64_t arena_bytes = metrics::registry().gauge("pll.arena_bytes").value();
       const bool same = same_labels(labels[0], labels[1]);
       scaling_ok = scaling_ok && same;
       const auto pct =
           static_cast<std::int64_t>(std::llround(best[0] > 0.0 ? 100.0 * best[1] / best[0] : 100.0));
       metrics::registry().gauge("pract.pll_build_pct_of_1thread." + std::string(c.family)).set(pct);
+      const std::size_t hubs = labels[1].total_hubs();
+      const auto per_hub = static_cast<std::int64_t>(std::llround(
+          hubs > 0 ? static_cast<double>(arena_bytes) / static_cast<double>(hubs) : 0.0));
+      metrics::registry().gauge("pract.pll_arena_bytes_per_hub." + std::string(c.family)).set(per_hub);
       std::printf("threads-scaling/%s: n=%zu, 1 thread %.1f ms, 4 threads %.1f ms (%lld%%), "
-                  "labels %s\n",
+                  "labels %s, arena %lld B per hub\n",
                   c.family, c.graph.num_vertices(), best[0] * 1e3, best[1] * 1e3,
-                  static_cast<long long>(pct), same ? "identical" : "DIFFER");
+                  static_cast<long long>(pct), same ? "identical" : "DIFFER",
+                  static_cast<long long>(per_hub));
     }
   }
 

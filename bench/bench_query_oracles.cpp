@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -138,6 +139,34 @@ void bm_pll_construction(benchmark::State& state) {
   }
 }
 
+/// Alternating timed repeats behind the pct gauges: sweeps of `passes`
+/// passes over the pair block, and the median of kPctRepeats base/test
+/// pairs.  One short sweep per side is at the mercy of a single
+/// scheduling hiccup on a shared host; the median of alternating pairs
+/// also cancels slow drifts in the host's load.
+constexpr std::size_t kPctRepeats = 11;
+
+std::size_t pct_passes(const bench::Harness& harness) { return harness.smoke() ? 8 : 32; }
+
+/// `test`'s time as a percent of `base`'s, the median over kPctRepeats
+/// alternating (base, test) sweeps, each sweep running its callable
+/// `passes` times.
+template <typename Base, typename Test>
+double median_pct(std::size_t passes, const Base& base, const Test& test) {
+  std::vector<double> pcts;
+  for (std::size_t r = 0; r < kPctRepeats; ++r) {
+    Timer base_timer;
+    for (std::size_t p = 0; p < passes; ++p) base();
+    const double base_s = base_timer.elapsed_s();
+    Timer test_timer;
+    for (std::size_t p = 0; p < passes; ++p) test();
+    const double test_s = test_timer.elapsed_s();
+    pcts.push_back(base_s > 0.0 ? 100.0 * test_s / base_s : 100.0);
+  }
+  std::nth_element(pcts.begin(), pcts.begin() + kPctRepeats / 2, pcts.end());
+  return pcts[kPctRepeats / 2];
+}
+
 void register_benchmarks(bool smoke) {
   using Fn = void (*)(benchmark::State&, const Workload&);
   struct QueryCase {
@@ -180,29 +209,22 @@ void register_benchmarks(bool smoke) {
 /// increase-only gate fires exactly when the flat kernel's advantage
 /// erodes.  Byte gauges expose the AoS-vs-SoA space cost side by side.
 bool run_flat_phase(bench::Harness& harness, const char* family, const Workload& w) {
-  const std::size_t passes = harness.smoke() ? 32 : 256;
   std::uint64_t vector_sum = 0;
   std::uint64_t flat_sum = 0;
-
-  Timer vector_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.labels.query(u, v);
-      if (d != kInfDist) vector_sum += d;
-    }
-  }
-  const double vector_s = vector_timer.elapsed_s();
-
-  Timer flat_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.flat.query(u, v);
-      if (d != kInfDist) flat_sum += d;
-    }
-  }
-  const double flat_s = flat_timer.elapsed_s();
-
-  const double pct = vector_s > 0.0 ? 100.0 * flat_s / vector_s : 100.0;
+  const double pct = median_pct(
+      pct_passes(harness),
+      [&] {
+        for (const auto& [u, v] : w.queries) {
+          const Dist d = w.labels.query(u, v);
+          if (d != kInfDist) vector_sum += d;
+        }
+      },
+      [&] {
+        for (const auto& [u, v] : w.queries) {
+          const Dist d = w.flat.query(u, v);
+          if (d != kInfDist) flat_sum += d;
+        }
+      });
   metrics::Registry& reg = metrics::registry();
   reg.gauge(std::string("pract.flat_query_pct_of_vector.") + family)
       .set(static_cast<std::int64_t>(pct));
@@ -210,9 +232,10 @@ bool run_flat_phase(bench::Harness& harness, const char* family, const Workload&
       .set(static_cast<std::int64_t>(w.labels.memory_bytes()));
   reg.gauge(std::string("pract.flat_label_bytes.") + family)
       .set(static_cast<std::int64_t>(w.flat.memory_bytes()));
-  std::printf("flat/%s: vector=%.3fms flat=%.3fms (%.0f%%), bytes %zu -> %zu, checksums %s\n",
-              family, vector_s * 1e3, flat_s * 1e3, pct, w.labels.memory_bytes(),
-              w.flat.memory_bytes(), vector_sum == flat_sum ? "agree" : "DISAGREE");
+  std::printf("flat/%s: flat at %.0f%% of vector (median of %zu), bytes %zu -> %zu, "
+              "checksums %s\n",
+              family, pct, kPctRepeats, w.labels.memory_bytes(), w.flat.memory_bytes(),
+              vector_sum == flat_sum ? "agree" : "DISAGREE");
   return vector_sum == flat_sum;
 }
 
@@ -224,7 +247,6 @@ bool run_flat_phase(bench::Harness& harness, const char* family, const Workload&
 /// is swept over the full block and checked byte-identical — distance AND
 /// meeting hub — against per-query query_with_hub.
 bool run_batch_phase(bench::Harness& harness, const char* family, const Workload& w) {
-  const std::size_t passes = harness.smoke() ? 32 : 256;
   const std::span<const std::pair<Vertex, Vertex>> pairs(w.queries);
   std::vector<HubQueryResult> answers(w.queries.size());
 
@@ -243,33 +265,28 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   }
 
   std::uint64_t scalar_sum = 0;
-  Timer scalar_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.flat.query(u, v);
-      if (d != kInfDist) scalar_sum += d;
-    }
-  }
-  const double scalar_s = scalar_timer.elapsed_s();
-
   std::uint64_t batch_sum = 0;
-  Timer batch_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    w.flat.query_batch(pairs, answers);
-    for (const HubQueryResult& r : answers) {
-      if (r.dist != kInfDist) batch_sum += r.dist;
-    }
-  }
-  const double batch_s = batch_timer.elapsed_s();
-
-  const double pct = scalar_s > 0.0 ? 100.0 * batch_s / scalar_s : 100.0;
+  const double pct = median_pct(
+      pct_passes(harness),
+      [&] {
+        for (const auto& [u, v] : w.queries) {
+          const Dist d = w.flat.query(u, v);
+          if (d != kInfDist) scalar_sum += d;
+        }
+      },
+      [&] {
+        w.flat.query_batch(pairs, answers);
+        for (const HubQueryResult& r : answers) {
+          if (r.dist != kInfDist) batch_sum += r.dist;
+        }
+      });
   metrics::Registry& reg = metrics::registry();
   reg.gauge("pract.batch_query_pct_of_scalar." + std::string(family))
       .set(static_cast<std::int64_t>(pct));
   reg.gauge("pract.query_pairs." + std::string(family))
       .set(static_cast<std::int64_t>(w.queries.size()));
-  std::printf("batch/%s: scalar=%.3fms batch=%.3fms (%.0f%%), checksums %s\n", family,
-              scalar_s * 1e3, batch_s * 1e3, pct, scalar_sum == batch_sum ? "agree" : "DISAGREE");
+  std::printf("batch/%s: batch at %.0f%% of scalar (median of %zu), checksums %s\n", family,
+              pct, kPctRepeats, scalar_sum == batch_sum ? "agree" : "DISAGREE");
   return identical && scalar_sum == batch_sum;
 }
 

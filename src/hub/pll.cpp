@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <utility>
 
+#include "hub/simd_kernel.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/qsketch.hpp"
@@ -149,22 +152,44 @@ Dist BitParallelRoots::estimate(Vertex u, Vertex v) const {
 
 namespace {
 
+/// True when every shortest-path distance of `g` is provably below
+/// kInfDist32: a shortest path has at most n - 1 edges of at most
+/// max_weight() each.  Unweighted graphs always qualify.
+bool distances_fit_u32(const Graph& g) {
+  const std::size_t n = g.num_vertices();
+  const std::uint64_t w = g.max_weight();
+  return n <= 1 || w == 0 || static_cast<std::uint64_t>(n - 1) <= (kInfDist32 - 1ULL) / w;
+}
+
 /// Internal label entry keyed by hub *rank* so that labels built in rank
 /// order are automatically sorted and query merges need no lookup table.
+/// `D` is the distance width the builder took for the graph: Dist32 when
+/// distances_fit_u32() (8 bytes per entry), Dist otherwise (16 bytes).
+template <typename D>
 struct RankEntry {
   Vertex rank;
-  Dist dist;
+  D dist;
 };
 
-/// Chunked per-vertex label storage: entries live in one shared slot pool,
-/// grouped into per-vertex blocks of geometrically growing capacity that
-/// are linked in append order.  A push never allocates on its own (the
-/// pool grows amortized like a vector), iteration walks at most
-/// O(log(label size)) blocks, and the whole structure frees in O(1) —
-/// replacing the vector-of-vectors layout whose per-vertex reallocation
-/// dominated construction.
+/// Per-vertex label storage of the builder.  A vertex's entries live in a
+/// chain of blocks linked in append order, of capacity 4 or 8 doubling to
+/// 64, so iteration walks O(log(label size)) blocks.  Blocks are carved
+/// from fixed-size pages that are never reallocated: growing the arena
+/// allocates a page and never moves an entry, and a block never straddles
+/// two pages.
+///
+/// The vertices are split into contiguous ranges, one *shard* each.  A
+/// shard owns the pages and blocks of its vertices' labels and their
+/// slices of the head and tail arrays, so shards can be written
+/// concurrently.  A block reference carries its shard in the low bits.
+/// A one-shard arena allocates pages as pushes need them; a sharded one
+/// only in reserve(), on the calling thread, after count() and plan() have
+/// sized each shard's next writes (a page allocated in a pool worker would
+/// return to that worker's malloc arena when freed).
+template <typename D>
 class LabelArena {
  public:
+  using Entry = RankEntry<D>;
   static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 
   /// A resumable scan position (see cursor()/scan_from()).
@@ -176,33 +201,149 @@ class LabelArena {
   /// `g` supplies degree hints: vertices above twice the average degree
   /// rank early under the degree heuristic and keep short labels, so they
   /// start with a smaller first block.
-  explicit LabelArena(const Graph& g) : head_(g.num_vertices(), kNoBlock), tail_(head_) {
+  LabelArena(const Graph& g, std::size_t shards)
+      : g_(g),
+        big_degree_(2.0 * g.average_degree()),
+        head_(g.num_vertices(), kNoBlock),
+        tail_(head_) {
     const std::size_t n = g.num_vertices();
-    slots_.reserve(n * 4);
-    blocks_.reserve(n + n / 2);
-    const double avg = g.average_degree();
-    first_cap_.resize(n);
-    for (Vertex v = 0; v < n; ++v) {
-      first_cap_[v] = static_cast<double>(g.degree(v)) >= 2.0 * avg ? 4 : 8;
+    const std::vector<par::ChunkRange> ranges = par::static_chunks(0, n, std::max<std::size_t>(shards, 1));
+    shards_.resize(std::max<std::size_t>(ranges.size(), 1));
+    while ((std::size_t{1} << shard_bits_) < shards_.size()) ++shard_bits_;
+    // About 8 entries per vertex of a shard, between 1 Ki and 64 Ki.
+    page_shift_ = std::clamp<unsigned>(
+        static_cast<unsigned>(std::bit_width(n / shards_.size())) + 3, 10, 16);
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+      Shard& sh = shards_[s];
+      sh.begin = static_cast<Vertex>(ranges[s].begin);
+      sh.end = static_cast<Vertex>(ranges[s].end);
+      const std::size_t size = sh.end - sh.begin;
+      sh.blocks.reserve(size + size / 2);
+      if (shards_.size() > 1) {
+        sh.pending.assign(size, 0);
+        sh.touched.reserve(size);
+      }
     }
   }
 
-  void push(Vertex v, RankEntry e) {
-    std::uint32_t tail = tail_[v];
-    if (tail == kNoBlock || blocks_[tail].count == blocks_[tail].capacity) tail = grow(v);
-    Block& b = blocks_[tail];
-    slots_[b.first + b.count] = e;
-    ++b.count;
-    max_dist_ = std::max(max_dist_, e.dist);
+  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+
+  /// The vertex range [first, second) that shard `s` owns.
+  [[nodiscard]] std::pair<Vertex, Vertex> range(std::size_t s) const {
+    return {shards_[s].begin, shards_[s].end};
+  }
+
+  /// Append e to v's label; v must belong to shard s.
+  void push(std::size_t s, Vertex v, Entry e) {
+    Shard& sh = shards_[s];
+    const std::uint32_t tail = tail_[v];
+    Block* b = tail == kNoBlock ? nullptr : &sh.blocks[tail >> shard_bits_];
+    if (b == nullptr || b->count == b->capacity) b = &grow(s, v, b);
+    sh.pages[b->first >> page_shift_][(b->first & page_mask()) + b->count] = e;
+    ++b->count;
+    ++sh.entries;
+    sh.max_dist = std::max(sh.max_dist, e.dist);
+  }
+
+  /// Note one push that shard s will make to v (first half of a sharded
+  /// write; see plan()).
+  void count(std::size_t s, Vertex v) {
+    Shard& sh = shards_[s];
+    if (sh.pending[v - sh.begin]++ == 0) sh.touched.push_back(v);
+  }
+
+  /// Turn shard s's counts into the slots and blocks its pushes will take,
+  /// and clear the counts.  Runs on the executor writing shard s.
+  void plan(std::size_t s) {
+    Shard& sh = shards_[s];
+    std::size_t slots = 0;
+    std::size_t blocks = 0;
+    for (const Vertex v : sh.touched) {
+      std::uint32_t k = std::exchange(sh.pending[v - sh.begin], 0);
+      std::uint32_t cap = 0;
+      std::uint32_t room = 0;
+      if (tail_[v] != kNoBlock) {
+        const Block& b = sh.blocks[tail_[v] >> shard_bits_];
+        cap = b.capacity;
+        room = b.capacity - b.count;
+      }
+      while (k > room) {
+        k -= room;
+        cap = cap == 0 ? first_capacity(v) : std::min(2 * cap, kMaxBlockCap);
+        room = cap;
+        slots += cap;
+        ++blocks;
+      }
+    }
+    sh.touched.clear();
+    sh.planned_slots = slots;
+    sh.planned_blocks = blocks;
+  }
+
+  /// Allocate, on the calling thread, the pages and block records every
+  /// shard's plan() asked for, so the pushes that follow never allocate.
+  /// A page places at least (page size - kMaxBlockCap) slots of blocks
+  /// before the next block no longer fits, which bounds the pages needed.
+  void reserve() {
+    const std::size_t page = page_mask() + 1;
+    for (Shard& sh : shards_) {
+      const std::size_t current = sh.used >> page_shift_;
+      std::size_t fits = 0;
+      if (current < sh.pages.size()) {
+        const std::size_t room = page - (sh.used & page_mask());
+        fits = (room > kMaxBlockCap ? room - kMaxBlockCap : 0) +
+               (sh.pages.size() - current - 1) * (page - kMaxBlockCap);
+      }
+      for (; fits < sh.planned_slots; fits += page - kMaxBlockCap) sh.pages.push_back(new_page());
+      const std::size_t blocks = sh.blocks.size() + sh.planned_blocks;
+      if (blocks > sh.blocks.capacity()) {
+        sh.blocks.reserve(std::max(blocks, 2 * sh.blocks.capacity()));
+      }
+    }
   }
 
   /// Largest distance pushed so far (0 for an empty arena).
-  [[nodiscard]] Dist max_dist() const { return max_dist_; }
+  [[nodiscard]] Dist max_dist() const {
+    D best = 0;
+    for (const Shard& sh : shards_) best = std::max(best, sh.max_dist);
+    return best;
+  }
+
+  /// Entries pushed so far.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t total = 0;
+    for (const Shard& sh : shards_) total += sh.entries;
+    return total;
+  }
 
   [[nodiscard]] std::size_t size(Vertex v) const {
     std::size_t total = 0;
-    for (std::uint32_t b = head_[v]; b != kNoBlock; b = blocks_[b].next) total += blocks_[b].count;
+    for (std::uint32_t b = head_[v]; b != kNoBlock;) {
+      const Block& blk = block(b);
+      total += blk.count;
+      b = blk.next;
+    }
     return total;
+  }
+
+  [[nodiscard]] std::size_t num_pages() const {
+    std::size_t total = 0;
+    for (const Shard& sh : shards_) total += sh.pages.size();
+    return total;
+  }
+
+  /// Heap bytes: pages, block records, heads and tails, and the sharded
+  /// write's per-vertex plan buffers.  The arena never shrinks, so at the
+  /// end of a build this is its peak.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    std::size_t bytes = (head_.capacity() + tail_.capacity()) * sizeof(std::uint32_t);
+    for (const Shard& sh : shards_) {
+      bytes += sh.pages.size() * (page_mask() + 1) * sizeof(Entry) +
+               sh.pages.capacity() * sizeof(sh.pages[0]) + sh.blocks.capacity() * sizeof(Block) +
+               sh.pending.capacity() * sizeof(std::uint32_t) +
+               sh.touched.capacity() * sizeof(Vertex);
+    }
+    return bytes;
   }
 
   /// Current end of v's label; scan_from() started here visits exactly the
@@ -210,65 +351,113 @@ class LabelArena {
   [[nodiscard]] Cursor cursor(Vertex v) const {
     const std::uint32_t tail = tail_[v];
     if (tail == kNoBlock) return Cursor{};
-    return Cursor{tail, blocks_[tail].count};
+    return Cursor{tail, block(tail).count};
   }
 
   template <typename Fn>
   void for_each(Vertex v, Fn&& fn) const {
-    for (std::uint32_t b = head_[v]; b != kNoBlock; b = blocks_[b].next) {
-      const Block& blk = blocks_[b];
-      for (std::uint32_t i = 0; i < blk.count; ++i) fn(slots_[blk.first + i]);
-    }
+    static_cast<void>(scan_from(v, Cursor{}, [&](const Entry& e) {
+      fn(e);
+      return false;
+    }));
   }
 
   /// Visit entries from `c` (a cursor taken for v, or a default cursor for
   /// the whole label) until `fn` returns true; returns whether it did.
+  /// The page is resolved once per block.
   template <typename Fn>
   [[nodiscard]] bool scan_from(Vertex v, Cursor c, Fn&& fn) const {
     std::uint32_t b = c.block == kNoBlock ? head_[v] : c.block;
     std::uint32_t offset = c.block == kNoBlock ? 0 : c.offset;
-    for (; b != kNoBlock; b = blocks_[b].next, offset = 0) {
-      const Block& blk = blocks_[b];
+    if (b == kNoBlock) return false;
+    const Shard& sh = shards_[b & shard_mask()];
+    for (; b != kNoBlock; offset = 0) {
+      const Block& blk = sh.blocks[b >> shard_bits_];
+      const Entry* entries = sh.pages[blk.first >> page_shift_].get() + (blk.first & page_mask());
       for (std::uint32_t i = offset; i < blk.count; ++i) {
-        if (fn(slots_[blk.first + i])) return true;
+        if (fn(entries[i])) return true;
       }
+      b = blk.next;
     }
     return false;
   }
 
  private:
   struct Block {
-    std::size_t first;       ///< index of the block's first slot
-    std::uint32_t next;      ///< kNoBlock at the chain tail
-    std::uint32_t count;
-    std::uint32_t capacity;
+    std::uint32_t first;  ///< shard slot of the first entry: page << page_shift_ | offset
+    std::uint32_t next;   ///< reference of the next block, kNoBlock at the chain tail
+    std::uint16_t count;
+    std::uint16_t capacity;
   };
 
-  std::uint32_t grow(Vertex v) {
-    const std::uint32_t tail = tail_[v];
-    const std::uint32_t cap =
-        tail == kNoBlock ? first_cap_[v]
-                         : std::min<std::uint32_t>(blocks_[tail].capacity * 2, kMaxBlockCap);
-    const auto id = static_cast<std::uint32_t>(blocks_.size());
-    blocks_.push_back(Block{slots_.size(), kNoBlock, 0, cap});
-    slots_.resize(slots_.size() + cap);
-    if (tail == kNoBlock) {
-      head_[v] = id;
-    } else {
-      blocks_[tail].next = id;
-    }
-    tail_[v] = id;
-    return id;
-  }
+  /// Cache-line aligned: executors update their shards' counters side by
+  /// side.
+  struct alignas(64) Shard {
+    Vertex begin = 0;  ///< owned vertex range [begin, end)
+    Vertex end = 0;
+    std::vector<std::unique_ptr<Entry[]>> pages;
+    std::vector<Block> blocks;
+    std::size_t used = 0;  ///< slots handed out to blocks, page padding included
+    std::size_t entries = 0;
+    D max_dist = 0;
+    std::vector<std::uint32_t> pending;  ///< counted pushes per owned vertex
+    std::vector<Vertex> touched;         ///< owned vertices with pending pushes
+    std::size_t planned_slots = 0;
+    std::size_t planned_blocks = 0;
+  };
 
   static constexpr std::uint32_t kMaxBlockCap = 64;
 
-  std::vector<RankEntry> slots_;
-  std::vector<Block> blocks_;
+  [[nodiscard]] std::size_t page_mask() const { return (std::size_t{1} << page_shift_) - 1; }
+  [[nodiscard]] std::uint32_t shard_mask() const { return (1U << shard_bits_) - 1; }
+
+  [[nodiscard]] const Block& block(std::uint32_t ref) const {
+    return shards_[ref & shard_mask()].blocks[ref >> shard_bits_];
+  }
+
+  [[nodiscard]] std::uint32_t first_capacity(Vertex v) const {
+    return static_cast<double>(g_.degree(v)) >= big_degree_ ? 4 : 8;
+  }
+
+  [[nodiscard]] std::unique_ptr<Entry[]> new_page() const {
+    return std::make_unique_for_overwrite<Entry[]>(page_mask() + 1);
+  }
+
+  /// Open a new tail block for v in shard s, after `tail` (null for an
+  /// empty label).
+  Block& grow(std::size_t s, Vertex v, Block* tail) {
+    Shard& sh = shards_[s];
+    const std::uint32_t cap =
+        tail == nullptr ? first_capacity(v) : std::min<std::uint32_t>(tail->capacity * 2, kMaxBlockCap);
+    if ((sh.used & page_mask()) + cap > page_mask() + 1) sh.used = (sh.used | page_mask()) + 1;
+    if ((sh.used >> page_shift_) == sh.pages.size()) {
+      HUBLAB_ASSERT_MSG(shards_.size() == 1, "a sharded arena allocates pages only in reserve()");
+      sh.pages.push_back(new_page());
+    }
+    HUBLAB_ASSERT_MSG(shards_.size() == 1 || sh.blocks.size() < sh.blocks.capacity(),
+                      "a sharded arena grows its block records only in reserve()");
+    HUBLAB_ASSERT_MSG(sh.used + cap <= kNoBlock && sh.blocks.size() < (kNoBlock >> shard_bits_),
+                      "label arena shard exceeds 32-bit addressing");
+    const auto ref = static_cast<std::uint32_t>(sh.blocks.size() << shard_bits_ | s);
+    if (tail == nullptr) {
+      head_[v] = ref;
+    } else {
+      tail->next = ref;  // before push_back, which may move the records
+    }
+    tail_[v] = ref;
+    sh.blocks.push_back(Block{static_cast<std::uint32_t>(sh.used), kNoBlock, 0,
+                              static_cast<std::uint16_t>(cap)});
+    sh.used += cap;
+    return sh.blocks.back();
+  }
+
+  const Graph& g_;
+  double big_degree_;
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> tail_;
-  std::vector<std::uint8_t> first_cap_;
-  Dist max_dist_ = 0;
+  std::vector<Shard> shards_;
+  unsigned shard_bits_ = 0;
+  unsigned page_shift_ = 10;
 };
 
 /// Cover-test outcomes, kept apart so the per-kind prune counters can be
@@ -324,14 +513,17 @@ struct BatchEntry {
   Dist dist;
 };
 
+/// The builder over an arena of `D` distances (see RankEntry).
+template <typename D>
 class PllBuilder {
  public:
   PllBuilder(const Graph& g, const std::vector<Vertex>& order, const PllConfig& config)
       : g_(g),
         order_(order),
         threads_(par::resolve_threads(config.threads)),
+        batched_(threads_ > 1 && !par::in_parallel_region()),
         bp_(g, order, config.bp_roots, threads_),
-        arena_(g) {
+        arena_(g, batched_ ? threads_ : 1) {
     HUBLAB_ASSERT_MSG(order.size() == g.num_vertices(), "order must be a permutation");
     // Ranks are stored as 32-bit values next to the kInvalidVertex
     // sentinel, and the rank loop compares a size_t bound, so the vertex
@@ -341,6 +533,7 @@ class PllBuilder {
     metrics::Registry& reg = metrics::registry();
     reg.gauge("pll.bp_roots").set(static_cast<std::int64_t>(bp_.num_roots()));
     reg.gauge("pll.bp_table_bytes").set(static_cast<std::int64_t>(bp_.memory_bytes()));
+    reg.gauge("pll.arena_entry_bytes").set(static_cast<std::int64_t>(sizeof(Entry)));
   }
 
   HubLabeling run() {
@@ -374,22 +567,25 @@ class PllBuilder {
   }
 
  private:
+  using Entry = RankEntry<D>;
+  using Arena = LabelArena<D>;
+
   /// Largest batch of roots searched against the same arena state.
   static constexpr std::size_t kMaxBatch = 64;
 
-  /// Straight into the SoA layout with a `D` distance column: row offsets
+  /// Straight into the SoA layout with a `Column` distance column: row offsets
   /// from a prefix sum of the label sizes (plus one sentinel per row), then
   /// each row mapped to hub ids, hub-sorted and written on the pool.
   /// Matches FlatHubLabeling(HubLabeling) on the finalized labeling bit for
   /// bit.
-  template <typename D>
-  FlatHubLabeling flatten(D inf) const {
+  template <typename Column>
+  FlatHubLabeling flatten(Column inf) const {
     const std::size_t n = g_.num_vertices();
     const std::vector<std::size_t> sizes = record_label_sizes();
     std::vector<std::size_t> offsets(n + 1, 0);
     for (Vertex v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + sizes[v] + 1;
     std::vector<Vertex> hubs(offsets[n]);
-    std::vector<D> dists(offsets[n]);
+    std::vector<Column> dists(offsets[n]);
     par::parallel_for(0, n, threads_, [&](const par::ChunkRange& chunk) {
       std::vector<HubEntry> row;
       for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
@@ -398,7 +594,7 @@ class PllBuilder {
         std::size_t at = offsets[v];
         for (const HubEntry& e : row) {
           hubs[at] = e.hub;
-          dists[at] = static_cast<D>(e.dist);
+          dists[at] = static_cast<Column>(e.dist);
           ++at;
         }
         hubs[at] = kInvalidVertex;
@@ -424,15 +620,15 @@ class PllBuilder {
   /// are unique, so a row has no duplicate hubs).
   void fill_sorted_row(Vertex v, HubEntry* row) const {
     std::size_t i = 0;
-    arena_.for_each(v, [&](const RankEntry& e) { row[i++] = HubEntry{order_[e.rank], e.dist}; });
+    arena_.for_each(v, [&](const Entry& e) { row[i++] = HubEntry{order_[e.rank], e.dist}; });
     std::sort(row, row + i, [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
   }
 
   /// The pruned searches, as one loop over root batches [s, e): search
   /// every root of the batch against the arena as it stands (ranks < s),
   /// clean the candidates only ranks in [s, e) could cover, commit the
-  /// survivors in rank order (docs/performance.md, "Parallel root
-  /// batches").  A batch of one root is the classic sequential builder;
+  /// survivors shard by shard, each vertex's in rank order
+  /// (docs/performance.md, "Parallel root batches").  A batch of one root is the classic sequential builder;
   /// batches grow only when they can run concurrently.
   void build_labels() {
     const std::size_t n = g_.num_vertices();
@@ -446,7 +642,7 @@ class PllBuilder {
       snapshot_cursors();
       s = bp_.num_roots();
     }
-    const bool batched = threads_ > 1 && !par::in_parallel_region();
+    const bool batched = batched_;
     // The batch buffers are allocated and reserved here, on the calling
     // thread, and reused across batches: a buffer grown in a pool worker
     // would stay in that worker's malloc arena after it is freed.
@@ -488,10 +684,36 @@ class PllBuilder {
     reg.sketch("pll.frontier_size").merge(frontier_sizes_);
     reg.counter("pll.visited").add(c_visited_);
     reg.counter("pll.pruned").add(c_pruned_);
-    reg.counter("pll.label_pushes").add(c_pushes_);
+    reg.counter("pll.label_pushes").add(arena_.size());
     reg.counter("pll.bp_dist_prunes").add(c_bp_dist_prunes_);
     reg.counter("pll.bp_mask_prunes").add(c_bp_mask_prunes_);
     if (batched) reg.counter("pll.cleaned").add(c_cleaned_);
+    reg.gauge("pll.arena_bytes").set(static_cast<std::int64_t>(arena_.memory_bytes()));
+    reg.gauge("pll.arena_pages").set(static_cast<std::int64_t>(arena_.num_pages()));
+  }
+
+  /// Every arena write goes through here.  `walk(shard, emit)` must call
+  /// emit(v, entry) for the entries of the shard's vertices, each vertex's
+  /// in rank order.  One shard pushes straight away; with several, every
+  /// shard walks twice on the pool — once counting, then, after the
+  /// calling thread allocated the pages the counts need, pushing — so the
+  /// shards write in parallel and no pool worker allocates.
+  template <typename Walk>
+  void write_arena(const Walk& walk) {
+    const std::size_t shards = arena_.num_shards();
+    if (shards == 1) {
+      walk(0, [&](Vertex v, const Entry& e) { arena_.push(0, v, e); });
+      return;
+    }
+    const std::vector<par::ChunkRange> chunks = par::static_chunks(0, shards, shards);
+    par::run_chunks(chunks, shards, [&](const par::ChunkRange& c) {
+      walk(c.index, [&](Vertex v, const Entry&) { arena_.count(c.index, v); });
+      arena_.plan(c.index);
+    });
+    arena_.reserve();
+    par::run_chunks(chunks, shards, [&](const par::ChunkRange& c) {
+      walk(c.index, [&](Vertex v, const Entry& e) { arena_.push(c.index, v, e); });
+    });
   }
 
   /// Emit the labels of every table rank without running a pruned search.
@@ -502,10 +724,10 @@ class PllBuilder {
   /// k < bp_.num_roots() every distance in that test sits in the tables,
   /// so the entries are computed directly: the k most expensive pruned
   /// searches (the early ranks prune the least) collapse into a rank-major
-  /// scan of the distance rows.  Rank-major order keeps each vertex's
-  /// arena entries sorted by rank, exactly as the searches would have.
+  /// scan of the distance rows, vertex-major within each shard; every
+  /// vertex tests its ranks in ascending order, so its arena entries are
+  /// sorted by rank, exactly as the searches would have left them.
   void synthesize_table_ranks() {
-    const std::size_t n = g_.num_vertices();
     const std::size_t num_roots = bp_.num_roots();
     // root_root[k * num_roots + i] = d(r_i, r_k), gathered once so the
     // inner loop touches two contiguous rows.
@@ -514,26 +736,27 @@ class PllBuilder {
       const std::uint16_t* row = bp_.dist_row(order_[k]);
       for (std::size_t i = 0; i < num_roots; ++i) root_root[k * num_roots + i] = row[i];
     }
-    for (std::size_t k = 0; k < num_roots; ++k) {
-      const std::uint32_t* to_root = root_root.data() + k * num_roots;
-      for (Vertex v = 0; v < n; ++v) {
+    write_arena([&](std::size_t shard, const auto& emit) {
+      const auto [begin, end] = arena_.range(shard);
+      for (Vertex v = begin; v < end; ++v) {
         const std::uint16_t* row = bp_.dist_row(v);
-        const std::uint32_t d = row[k];
-        // Unreachable pairs get no entry; unreachable candidates below
-        // never cover (kUnreachable summands keep t > d).
-        if (d == BitParallelRoots::kUnreachable) continue;
-        bool covered = false;
-        for (std::size_t i = 0; i < k; ++i) {
-          if (row[i] + to_root[i] <= d) {
-            covered = true;
-            break;
+        for (std::size_t k = 0; k < num_roots; ++k) {
+          const std::uint32_t d = row[k];
+          // Unreachable pairs get no entry; unreachable candidates below
+          // never cover (kUnreachable summands keep t > d).
+          if (d == BitParallelRoots::kUnreachable) continue;
+          const std::uint32_t* to_root = root_root.data() + k * num_roots;
+          bool covered = false;
+          for (std::size_t i = 0; i < k; ++i) {
+            if (row[i] + to_root[i] <= d) {
+              covered = true;
+              break;
+            }
           }
+          if (!covered) emit(v, Entry{static_cast<Vertex>(k), static_cast<D>(d)});
         }
-        if (covered) continue;
-        arena_.push(v, RankEntry{static_cast<Vertex>(k), static_cast<Dist>(d)});
-        ++c_pushes_;
       }
-    }
+    });
   }
 
   /// Record, per vertex, where entries of rank >= bp_.num_roots() will
@@ -647,15 +870,22 @@ class PllBuilder {
     slot.candidates.resize(kept);
   }
 
-  /// Push the survivors of [s, e) into the arena in rank order, so every
-  /// vertex's entries stay sorted by rank, and fold the per-root counters
-  /// in the same order.
+  /// Push the survivors of [s, e) into the arena, one shard per executor:
+  /// each walks the slots in rank order and pushes its own vertices'
+  /// survivors, so every vertex's entries stay sorted by rank.  The
+  /// per-root counters fold here, on the calling thread, in rank order.
   void commit_batch(std::size_t s, std::size_t e) {
+    write_arena([&](std::size_t shard, const auto& emit) {
+      const auto [begin, end] = arena_.range(shard);
+      for (std::size_t j = 0; j < e - s; ++j) {
+        const auto rank = static_cast<Vertex>(s + j);
+        for (const Candidate& c : slots_[j].candidates) {
+          if (c.v >= begin && c.v < end) emit(c.v, Entry{rank, static_cast<D>(c.dist)});
+        }
+      }
+    });
     for (std::size_t j = 0; j < e - s; ++j) {
       const RootSlot& slot = slots_[j];
-      const auto rank = static_cast<Vertex>(s + j);
-      for (const Candidate& c : slot.candidates) arena_.push(c.v, RankEntry{rank, c.dist});
-      c_pushes_ += slot.candidates.size();
       c_visited_ += slot.visited;
       c_pruned_ += slot.pruned;
       c_bp_dist_prunes_ += slot.bp_dist_prunes;
@@ -702,10 +932,10 @@ class PllBuilder {
       }
     }
     if (scan_labels) {
-      const LabelArena::Cursor from = cursors_.empty() ? LabelArena::Cursor{} : cursors_[u];
-      const bool hit = arena_.scan_from(u, from, [&](const RankEntry& e) {
+      const typename Arena::Cursor from = cursors_.empty() ? typename Arena::Cursor{} : cursors_[u];
+      const bool hit = arena_.scan_from(u, from, [&](const Entry& e) {
         const Dist rd = sc.root_dist[e.rank];
-        return rd != kInfDist && e.dist + rd <= d;
+        return rd != kInfDist && Dist{e.dist} + rd <= d;
       });
       if (hit) return Prune::kLabel;
     }
@@ -722,13 +952,13 @@ class PllBuilder {
   }
 
   void scatter_root_label(Vertex root, std::size_t min_rank, std::vector<Dist>& root_dist) const {
-    arena_.for_each(root, [&](const RankEntry& e) {
+    arena_.for_each(root, [&](const Entry& e) {
       if (e.rank >= min_rank) root_dist[e.rank] = e.dist;
     });
   }
 
   void clear_root_label(Vertex root, std::size_t min_rank, std::vector<Dist>& root_dist) const {
-    arena_.for_each(root, [&](const RankEntry& e) {
+    arena_.for_each(root, [&](const Entry& e) {
       if (e.rank >= min_rank) root_dist[e.rank] = kInfDist;
     });
   }
@@ -818,9 +1048,10 @@ class PllBuilder {
   const Graph& g_;
   const std::vector<Vertex>& order_;
   std::size_t threads_;
+  bool batched_;  ///< parallel root batches and a sharded arena
   BitParallelRoots bp_;
-  LabelArena arena_;
-  std::vector<LabelArena::Cursor> cursors_;  ///< per-vertex scan start (rank >= bp roots)
+  Arena arena_;
+  std::vector<typename Arena::Cursor> cursors_;  ///< per-vertex scan start (rank >= bp roots)
   std::vector<RootSlot> slots_;              ///< one per root of the current batch
   std::vector<std::uint32_t> csr_count_;     ///< batch candidates per vertex
   std::vector<std::size_t> csr_start_;       ///< group start in csr_entries_
@@ -829,7 +1060,6 @@ class PllBuilder {
   QuantileSketch frontier_sizes_;  ///< peak frontier / heap size per root
   std::uint64_t c_visited_ = 0;
   std::uint64_t c_pruned_ = 0;
-  std::uint64_t c_pushes_ = 0;
   std::uint64_t c_bp_dist_prunes_ = 0;
   std::uint64_t c_bp_mask_prunes_ = 0;
   std::uint64_t c_cleaned_ = 0;
@@ -839,7 +1069,8 @@ class PllBuilder {
 
 HubLabeling pruned_landmark_labeling(const Graph& g, const std::vector<Vertex>& order,
                                      const PllConfig& config) {
-  return PllBuilder(g, order, config).run();
+  if (distances_fit_u32(g)) return PllBuilder<Dist32>(g, order, config).run();
+  return PllBuilder<Dist>(g, order, config).run();
 }
 
 HubLabeling pruned_landmark_labeling(const Graph& g, VertexOrder order, std::uint64_t seed,
@@ -849,7 +1080,8 @@ HubLabeling pruned_landmark_labeling(const Graph& g, VertexOrder order, std::uin
 
 FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order,
                                               const PllConfig& config) {
-  return PllBuilder(g, order, config).run_flat();
+  if (distances_fit_u32(g)) return PllBuilder<Dist32>(g, order, config).run_flat();
+  return PllBuilder<Dist>(g, order, config).run_flat();
 }
 
 }  // namespace hublab

@@ -20,8 +20,10 @@
 /// constructions, so PLL is the measurement yardstick in our benches.
 ///
 /// Construction kernel (docs/performance.md, "Construction kernel"): the
-/// builder keeps its in-progress labels in a chunked arena (no per-push
-/// heap allocation) and, on unweighted graphs, accelerates the pruning
+/// builder keeps its in-progress labels in a paged arena (no per-push
+/// heap allocation, no entry ever copied; 8-byte entries whenever the
+/// graph's weights bound every distance below 2^32 - 1) and, on
+/// unweighted graphs, accelerates the pruning
 /// test with AIY-style *bit-parallel root tables* for the first
 /// `PllConfig::bp_roots` roots of the order — exact distances plus 64-bit
 /// neighborhood masks, consulted before any label scan.  Only prunes the
@@ -32,7 +34,8 @@
 /// batches (docs/performance.md, "Parallel root batches"): every root of a
 /// batch searches against the labels of the ranks before the batch, a
 /// clean step drops the candidates an earlier root of the same batch
-/// covers, and the survivors are committed in rank order.  PLL's labeling
+/// covers, and the survivors are committed in parallel, one vertex range
+/// per executor, each vertex's entries in rank order.  PLL's labeling
 /// is the canonical one for its order, so the batches reach the same
 /// labels byte for byte at every `PllConfig::threads`.
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // Weighted fixtures at the 32-bit boundary of FlatHubLabeling's distance
-// column, shared by flat_labeling_test and batch_query_test.
+// column, shared by flat_labeling_test, batch_query_test and pll_bp_test.
 
 #include <algorithm>
 #include <cstdint>

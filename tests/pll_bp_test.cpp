@@ -11,6 +11,7 @@
 #include "hub/pll.hpp"
 #include "lowerbound/gadget.hpp"
 #include "rs/rs_graph.hpp"
+#include "tests/heavy_weight_graphs.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -18,7 +19,9 @@
 /// The bit-parallel construction kernel's contract: for every graph, order
 /// and configuration, the labels are *byte-identical* to the scalar
 /// builder's (`bp_roots = 0`), and invariant in the thread count — also
-/// when threads > 1 switches the builder to parallel root batches.
+/// when threads > 1 switches the builder to parallel root batches and a
+/// label arena sharded by vertex range, and whichever entry width (8 or
+/// 16 bytes) the graph's weights allow.
 
 namespace hublab {
 namespace {
@@ -236,10 +239,18 @@ struct BuildRecord {
   std::vector<metrics::CounterSnapshot> counters;
   std::vector<metrics::HistogramSnapshot> histograms;
   std::vector<metrics::SketchSnapshot> sketches;
+  std::vector<metrics::GaugeSnapshot> gauges;
 
   [[nodiscard]] std::uint64_t counter(const std::string& name) const {
     for (const auto& c : counters) {
       if (c.name == name) return c.value;
+    }
+    return 0;
+  }
+
+  [[nodiscard]] std::int64_t gauge(const std::string& name) const {
+    for (const auto& g : gauges) {
+      if (g.name == name) return g.value;
     }
     return 0;
   }
@@ -248,10 +259,11 @@ struct BuildRecord {
 BuildRecord record_build(const Graph& g, const std::vector<Vertex>& order,
                          const PllConfig& config) {
   metrics::registry().reset();
-  BuildRecord r{pruned_landmark_labeling(g, order, config), {}, {}, {}};
+  BuildRecord r{pruned_landmark_labeling(g, order, config), {}, {}, {}, {}};
   r.counters = metrics::registry().counters();
   r.histograms = metrics::registry().histograms();
   r.sketches = metrics::registry().sketches();
+  r.gauges = metrics::registry().gauges();
   return r;
 }
 
@@ -368,6 +380,123 @@ TEST(ParallelDeterminism, PllBatchCountersEqualAtTwoAndFourThreads) {
                   two.counter("pll.cleaned"));
 #endif
   }
+}
+
+/// `base` with every weight redrawn from [1, max_weight] and the first
+/// edge set to exactly max_weight, so (n - 1) * max_weight() is known.
+Graph with_max_weight(const Graph& base, Weight max_weight, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(base.num_vertices());
+  bool first = true;
+  for (Vertex u = 0; u < base.num_vertices(); ++u) {
+    for (const Arc& a : base.arcs(u)) {
+      if (u >= a.to) continue;
+      b.add_edge(u, a.to, first ? max_weight : 1 + static_cast<Weight>(rng.next_below(max_weight)));
+      first = false;
+    }
+  }
+  return b.build();
+}
+
+/// The arena contract on one graph: the entry width the weights allow,
+/// labels byte-identical at 1-4 threads, exact against Dijkstra, run_flat
+/// equal to the converted labeling, and the same search work at 2 and 4
+/// threads.  `exhaustive` verifies every pair, otherwise a sample.
+void expect_arena_contract(const Graph& g, const std::vector<Vertex>& order,
+                           std::int64_t entry_bytes, bool exhaustive, const std::string& what) {
+  const std::uint64_t bound = static_cast<std::uint64_t>(g.num_vertices() - 1) * g.max_weight();
+  EXPECT_EQ(entry_bytes == 8, bound < 0xFFFFFFFFULL) << what << ": fixture on the wrong side";
+  const BuildRecord one = record_build(g, order, PllConfig{64, 1});
+  if (exhaustive) {
+    EXPECT_FALSE(verify_labeling(g, one.labels, DistanceMatrix::compute(g)).has_value()) << what;
+  } else {
+    EXPECT_FALSE(verify_labeling_sampled(g, one.labels, 64, 11).has_value()) << what;
+  }
+  std::vector<BuildRecord> many;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    many.push_back(record_build(g, order, PllConfig{64, threads}));
+    expect_same_labels(one.labels, many.back().labels, what + " threads=" + std::to_string(threads));
+  }
+#if HUBLAB_METRICS_ENABLED
+  EXPECT_EQ(one.gauge("pll.arena_entry_bytes"), entry_bytes) << what;
+  EXPECT_EQ(many.back().gauge("pll.arena_entry_bytes"), entry_bytes) << what;
+  EXPECT_GE(one.gauge("pll.arena_bytes"),
+            static_cast<std::int64_t>(one.labels.total_hubs()) * entry_bytes)
+      << what;
+  EXPECT_EQ(one.counter("pll.label_pushes"), one.labels.total_hubs()) << what;
+#endif
+  const BuildRecord& two = many.front();
+  const BuildRecord& four = many.back();
+  for (const char* name : {"pll.label_pushes", "pll.visited", "pll.pruned"}) {
+    EXPECT_EQ(two.counter(name), four.counter(name)) << what << " " << name;
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const FlatHubLabeling direct = pruned_landmark_labeling_flat(g, order, PllConfig{64, threads});
+    const FlatHubLabeling converted(one.labels);
+    ASSERT_EQ(direct.total_hubs(), converted.total_hubs()) << what;
+    ASSERT_EQ(direct.dist_bytes(), converted.dist_bytes()) << what;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const auto ha = direct.hubs(v);
+      const auto hb = converted.hubs(v);
+      ASSERT_EQ(ha.size(), hb.size()) << what << " v=" << v;
+      for (std::size_t i = 0; i < ha.size(); ++i) {
+        ASSERT_EQ(ha[i], hb[i]) << what << " v=" << v << " entry " << i;
+        ASSERT_EQ(direct.dist(v, i), converted.dist(v, i)) << what << " v=" << v << " entry " << i;
+      }
+    }
+  }
+}
+
+TEST(PllBp, HeavyArmsTakeSixteenByteArena) {
+  // (n - 1) * max_weight() is far past 2^32 - 1 (gate edges of 3 * 10^9),
+  // so no 32-bit distance is provable and the entries keep a u64 distance,
+  // although every label distance of this fixture fits 32 bits.
+  const Graph g = heavy::wide_sums();
+  expect_arena_contract(g, make_vertex_order(g, VertexOrder::kNatural, 0), 16, true,
+                        "heavy_arms");
+  const Graph beyond = heavy::needs_u64();
+  expect_arena_contract(beyond, make_vertex_order(beyond, VertexOrder::kNatural, 0), 16, true,
+                        "needs_u64");
+}
+
+TEST(PllBp, WeightsJustBelowTheBoundTakeEightByteArena) {
+  // n = 256, so n - 1 = 255 divides 2^32 - 1: max_weight = (2^32 - 1) / 255
+  // - 1 puts (n - 1) * max_weight() at 2^32 - 256, inside the 8-byte
+  // bound, and one more unit of weight lands exactly on 2^32 - 1.
+  Rng rng(41);
+  const Graph base = gen::road_like(16, 16, 0.2, 9, rng);
+  ASSERT_EQ(base.num_vertices(), 256u);
+  const auto max_weight = static_cast<Weight>(0xFFFFFFFFULL / 255 - 1);
+  const Graph narrow = with_max_weight(base, max_weight, 3);
+  const Graph wide = with_max_weight(base, max_weight + 1, 3);
+  ASSERT_EQ(narrow.max_weight(), max_weight);
+  Rng order_rng(7);
+  const std::vector<Vertex> order = betweenness_order(narrow, 32, order_rng);
+  expect_arena_contract(narrow, order, 8, true, "just below the bound");
+  expect_arena_contract(wide, order, 16, true, "at the bound");
+
+  // A 5-vertex path of weight (2^32 - 2) / 4 per edge: its distances reach
+  // 2^32 - 4, so cover-test sums pass 2^32 and must widen before the add
+  // (from root v2, vertex v3 has hub v0 at 3W and the root is at 2W from
+  // v0; a 32-bit sum would wrap below W and prune v3).
+  GraphBuilder b(5);
+  for (Vertex v = 0; v + 1 < 5; ++v) b.add_edge(v, v + 1, (0xFFFFFFFFU - 1) / 4);
+  const Graph path = b.build();
+  expect_arena_contract(path, {0, 2, 4, 1, 3}, 8, true, "path with sums past 2^32");
+}
+
+TEST(ParallelDeterminism, PllArenaSpansPagesAndFourShards) {
+  // 4,096 vertices at 4 threads: four vertex-range shards of 1,024, each
+  // holding several pages of labels.
+  Rng rng(43);
+  const Graph g = gen::road_like(64, 64, 0.2, 10, rng);
+  Rng order_rng(7);
+  const std::vector<Vertex> order = betweenness_order(g, 64, order_rng);
+  expect_arena_contract(g, order, 8, false, "road 64x64");
+#if HUBLAB_METRICS_ENABLED
+  const BuildRecord four = record_build(g, order, PllConfig{64, 4});
+  EXPECT_GE(four.gauge("pll.arena_pages"), 4 * 2) << "fewer than two pages per shard";
+#endif
 }
 
 }  // namespace

@@ -174,10 +174,12 @@ headline = {}
 orderings = gauges("BENCH_pll_orderings.json")
 headline["pract.bp_construct_pct_of_scalar"] = orderings["pract.bp_construct_pct_of_scalar"]
 for key, value in sorted(orderings.items()):
-    if key.startswith("pract.pll_build_pct_of_1thread."):
+    if key.startswith(("pract.pll_build_pct_of_1thread.", "pract.pll_arena_bytes_per_hub.")):
         headline[key] = value
 assert any(k.startswith("pract.pll_build_pct_of_1thread.") for k in headline), \
     "BENCH_pll_orderings.json carries no pract.pll_build_pct_of_1thread.* gauges"
+assert any(k.startswith("pract.pll_arena_bytes_per_hub.") for k in headline), \
+    "BENCH_pll_orderings.json carries no pract.pll_arena_bytes_per_hub.* gauges"
 for key, value in sorted(gauges("BENCH_query_oracles.json").items()):
     if key.startswith(("pract.flat_query_pct_of_vector.",
                        "pract.batch_query_pct_of_scalar.",
